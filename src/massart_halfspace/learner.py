@@ -43,11 +43,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .geometry import BoundedProfile, sign_of
+from .geometry import BoundedProfile
 from .noise import BOUNDED_NOISE_KINDS, MassartOracle
 from .psgd import PsgdConfig, Trajectory, _recorded_steps, psgd_run
 from .rng import STREAM_SELECT
@@ -243,8 +244,11 @@ def schedule_for(params: LearnParams, dim: int) -> Schedule:
 
 
 def _count_disagreements(candidates: np.ndarray, xs: np.ndarray, ys: np.ndarray, wrong: np.ndarray) -> None:
-    preds = sign_of(xs @ candidates.T)
-    wrong += np.sum(preds != ys[:, None], axis=0)
+    # sign(p) != y, with the tie p == 0 predicting +1 as in sign_of
+    prods = xs @ candidates.T
+    if not np.isfinite(prods).all():
+        raise ValueError("selection products must be finite")
+    wrong += np.count_nonzero((prods >= 0.0) != (ys > 0.0)[:, None], axis=0)
 
 
 def select_hypothesis(
@@ -328,30 +332,19 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     sigma = sched.sigma
     spec = SurrogateSpec(kind="sigmoid", sigma=sigma)  # validates the width
 
-    state = {"xs": None, "ys": None, "pos": 0}
-    g_buf = np.empty(dim)
-    t_buf = np.empty(dim)
+    def examples():
+        while True:
+            batch = oracle.draw(_STREAM_CHUNK)
+            yield from zip(batch.xs.tolist(), batch.ys.tolist())
+
+    stream = examples()
 
     def grad_fn(w, _rng):
-        pos = state["pos"]
-        xs = state["xs"]
-        if xs is None or pos >= xs.shape[0]:
-            batch = oracle.draw(_STREAM_CHUNK)
-            xs = batch.xs
-            state["xs"] = xs
-            state["ys"] = batch.ys
-            state["pos"] = 0
-            pos = 0
-        x = xs[pos]
-        y = state["ys"][pos]
-        state["pos"] = pos + 1
-        m = float(x @ w)  # iterates stay unit norm, so this is the margin
+        x, y = next(stream)
+        m = sum(map(mul, x, w))  # iterates stay unit norm, so this is the margin
         q = math.exp(-abs(m) / sigma)
         coef = -y * q / ((1.0 + q) ** 2 * sigma)
-        np.multiply(x, coef, out=g_buf)
-        np.multiply(w, coef * m, out=t_buf)
-        np.subtract(g_buf, t_buf, out=g_buf)
-        return g_buf
+        return [xi * coef - wi * (coef * m) for xi, wi in zip(x, w)]
 
     config = PsgdConfig(
         steps=sched.steps,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -86,28 +87,31 @@ def _start_iterate(w0, dim_hint: int | None) -> np.ndarray:
 def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -> Trajectory:
     """Run projected SGD and return the recorded trajectory.
 
-    grad_oracle(w, rng) must return a finite gradient vector; the rng is
-    a dedicated Philox substream of config.seed, advanced only by the
-    oracle. A non-finite or zero-norm update aborts with
-    PsgdDivergenceError carrying the offending step index.
+    The iterate is a list of Python floats and each step is plain float
+    arithmetic, cheaper than numpy calls on vectors this short.
+    grad_oracle(w, rng) receives that list and must return a finite
+    gradient as any sequence of d floats; another length raises
+    ValueError. The rng is a dedicated Philox substream of config.seed,
+    advanced only by the oracle. A non-finite or zero-norm update aborts
+    with PsgdDivergenceError carrying the offending step index.
     """
-    w = _start_iterate(w0, dim)
+    w = _start_iterate(w0, dim).tolist()
     rng = make_rng(config.seed, STREAM_PSGD)
     steps, beta = config.steps, config.step_size
     record = _recorded_steps(steps, config.record_every)
-    iterates = np.empty((record.shape[0], w.shape[0]))
+    iterates = np.empty((record.shape[0], len(w)))
     grad_norms = np.full(record.shape[0], np.nan) if config.record_grad_norms else None
     iterates[0] = w
     slot = 1
     next_record = int(record[1]) if record.shape[0] > 1 else -1
     for i in range(1, steps + 1):
         g = grad_oracle(w, rng)
-        v = w - beta * g
-        nv = math.sqrt(float(v @ v))
+        v = [wi - beta * gi for wi, gi in zip(w, g, strict=True)]
+        nv = math.sqrt(sum(map(mul, v, v)))
         if not (nv > 0.0 and math.isfinite(nv)):
             detail = "zero-norm update" if nv == 0.0 else "non-finite gradient or update"
             raise PsgdDivergenceError(step=i, detail=detail)
-        w = v / nv
+        w = [vi / nv for vi in v]
         if i == next_record:
             iterates[slot] = w
             if grad_norms is not None:

@@ -13,12 +13,15 @@ from massart_halfspace import (
     NoiseStrategy,
     disk_profile,
     excess_to_target_error,
+    gaussian_profile,
     learn,
     schedule_for,
     schedule_massart,
     schedule_strong_massart,
     select_hypothesis,
+    sign_of,
 )
+from massart_halfspace.learner import _STREAM_CHUNK, _count_disagreements
 
 DISK = disk_profile().profile
 
@@ -243,6 +246,31 @@ class TestSelectHypothesis:
         assert np.isclose(err, 0.0) or idx != 4
 
 
+class TestDisagreementKernel:
+    def test_matches_sign_of_counts_with_exact_zero_products(self):
+        rng = np.random.default_rng(42)
+        candidates = rng.standard_normal((9, 4))
+        candidates[0] = [1.0, 0.0, 0.0, 0.0]
+        candidates[1] = [-1.0, 0.0, 0.0, 0.0]
+        xs = rng.standard_normal((500, 4))
+        xs[:40] = 0.0          # every product is 0.0 or -0.0
+        xs[40:80, 0] = 0.0     # products against candidates 0 and 1 are zero
+        ys = np.where(rng.random(500) < 0.5, 1.0, -1.0)
+        prods = xs @ candidates.T
+        assert np.count_nonzero(prods == 0.0) >= 40 * 9 + 40 * 2
+        wrong = np.zeros(candidates.shape[0])
+        _count_disagreements(candidates, xs, ys, wrong)
+        expected = np.sum(sign_of(prods) != ys[:, None], axis=0)
+        assert np.array_equal(wrong, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_product_raises(self, bad):
+        candidates = np.array([[1.0, 0.0], [0.0, 1.0]])
+        xs = np.array([[0.5, 0.5], [bad, 0.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            _count_disagreements(candidates, xs, np.ones(2), np.zeros(2))
+
+
 class TestExcessConversion:
     def test_hand_value(self):
         assert excess_to_target_error(0.1, 0.3) == pytest.approx(0.25, rel=1e-15)
@@ -343,3 +371,44 @@ class TestLearnPipeline:
         report = learn(oracle, params, psgd_seed=2)
         angle = math.acos(np.clip(abs(float(report.chosen @ target)), -1, 1))
         assert angle <= 0.35
+
+
+def test_step_matches_numpy_reference_step():
+    # The learner's float-list step against the elementwise numpy step it
+    # replaces: only the summation order of the two dot products differs.
+    def make_oracle():
+        target = np.ones(10) / math.sqrt(10.0)
+        return MassartOracle(
+            target=target,
+            strategy=NoiseStrategy(kind="boundary_concentrated", eta_bound=0.4, band=0.2),
+            marginal=MarginalSampler(kind="standard_gaussian", dim=10, seed=77),
+            seed=77,
+        )
+
+    steps, record_every = 5000, 100
+    params = LearnParams(
+        model="massart", eps=0.05, profile=gaussian_profile().profile, eta_bound=0.4,
+        steps_override=steps, record_every=record_every, selection_override=100,
+    )
+    sched = schedule_for(params, 10)
+    assert sched.sigma == 0.25 and sched.step_size == 1e-3
+    report = learn(make_oracle(), params)
+
+    batch = make_oracle().draw(_STREAM_CHUNK)
+    sigma, beta = sched.sigma, sched.step_size
+    w = np.zeros(10)
+    w[0] = 1.0
+    indices, iterates = [0], [w]
+    for i in range(1, steps + 1):
+        x, y = batch.xs[i - 1], batch.ys[i - 1]
+        m = float(x @ w)
+        q = math.exp(-abs(m) / sigma)
+        coef = -y * q / ((1.0 + q) ** 2 * sigma)
+        g = x * coef - w * (coef * m)
+        v = w - beta * g
+        w = v / math.sqrt(float(v @ v))
+        if i % record_every == 0:
+            indices.append(i)
+            iterates.append(w)
+    assert np.array_equal(report.trajectory.step_indices, indices)
+    assert np.max(np.abs(report.trajectory.iterates - np.array(iterates))) <= 1e-12

@@ -72,7 +72,7 @@ class TestSingleRun:
 
     def test_deterministic_across_runs(self):
         def noisy(w, rng):
-            return rng.standard_normal(w.shape[0])
+            return rng.standard_normal(len(w))
 
         cfg = PsgdConfig(steps=50, step_size=0.05, seed=7)
         a = psgd_run(noisy, cfg, w0=E1_3)
@@ -83,7 +83,7 @@ class TestSingleRun:
 
     def test_unit_norm_invariant(self):
         def noisy(w, rng):
-            return rng.standard_normal(w.shape[0])
+            return rng.standard_normal(len(w))
 
         traj = psgd_run(noisy, PsgdConfig(steps=200, step_size=0.3, seed=3), w0=E1_3)
         norms = np.linalg.norm(traj.iterates, axis=1)
@@ -107,14 +107,27 @@ class TestSingleRun:
 
     def test_nonfinite_gradient_aborts_with_step(self):
         def explode(w, rng):
-            return np.full(w.shape[0], np.nan)
+            return np.full(len(w), np.nan)
 
         with pytest.raises(PsgdDivergenceError) as info:
             psgd_run(explode, PsgdConfig(steps=5, step_size=0.1), w0=E1_3)
         assert info.value.step == 1
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_gradient_raises_at_first_step(self, length):
+        calls = []
+
+        def misshapen(w, rng):
+            calls.append(len(w))
+            return [0.1] * length
+
+        with pytest.raises(ValueError):
+            psgd_run(misshapen, PsgdConfig(steps=5, step_size=0.1), w0=E1_3)
+        assert calls == [3]
+
     def test_zero_update_aborts(self):
         def radial(w, rng):
+            w = np.asarray(w)
             return w / 0.1  # v = w - 0.1 * (w/0.1) = 0
 
         with pytest.raises(PsgdDivergenceError):
@@ -124,6 +137,7 @@ class TestSingleRun:
         # with gradients orthogonal to w the projection only ever
         # contracts, so a huge step size still cannot diverge
         def ortho(w, rng):
+            w = np.asarray(w)
             g = rng.standard_normal(w.shape[0])
             g -= (g @ w) * w
             return 100.0 * g
@@ -269,6 +283,7 @@ class TestMeanStationarity:
             return -2.0 * m * (a - m * w)
 
         def oracle(w, rng):
+            w = np.asarray(w)
             return true_grad(w) + 0.1 * rng.standard_normal(3)
 
         beta = theoretical_step_size(L, B, R, T)
@@ -285,6 +300,7 @@ class TestMeanStationarity:
         a = np.array([0.0, 1.0, 0.0])
 
         def oracle(w, rng):
+            w = np.asarray(w)
             m = float(a @ w)
             return -2.0 * m * (a - m * w) + 0.01 * rng.standard_normal(3)
 
