@@ -28,7 +28,6 @@ from .geometry import (
     error_lower_bound_from_angle,
     error_upper_bound_from_angle,
     orthonormal_basis_of_span,
-    project_to_2d,
     sign_of,
 )
 from .harness import ExperimentConfig, load_config, measure_disagreement, run
@@ -39,8 +38,6 @@ from .learner import (
     excess_to_target_error,
     learn,
     schedule_for,
-    schedule_massart,
-    schedule_strong_massart,
     select_hypothesis,
 )
 from .noise import (
@@ -57,7 +54,6 @@ from .psgd import (
     Trajectory,
     psgd_run,
     psgd_run_batch,
-    stationarity_certificate,
     theoretical_iteration_count,
     theoretical_step_size,
 )
@@ -128,17 +124,13 @@ __all__ = [
     "per_sample_loss",
     "plane_density",
     "population_estimates",
-    "project_to_2d",
     "psgd_run",
     "psgd_run_batch",
     "run",
     "sample_gradients",
     "schedule_for",
-    "schedule_massart",
-    "schedule_strong_massart",
     "select_hypothesis",
     "sign_of",
-    "stationarity_certificate",
     "surrogate_derivative",
     "surrogate_value",
     "theoretical_iteration_count",

@@ -2,20 +2,17 @@
 
 The positional command selects what to run; the config file carries the
 rest. A `command` key inside the config is allowed but must agree with
-the positional one. Precedence for the thread budget is flag, then the
-environment variable, then the config file.
+the positional one.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConfigError
 from .harness import (
     COMMANDS,
     EXIT_CONFIG,
-    THREADS_ENV_VAR,
     config_from_mapping,
     parse_config_text,
     run,
@@ -38,20 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a key=value or JSON config file")
     parser.add_argument("--out", help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="base seed (overrides the config)")
-    parser.add_argument("--threads", type=int, help="worker budget (overrides config and env)")
     return parser
-
-
-def _resolve_threads(flag_value: int | None) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def main(argv=None) -> int:
@@ -72,12 +56,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             flat["out"] = args.out
         if args.seed is not None:
-            if not (0 <= args.seed < 2**64):
-                raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
             flat["base_seed"] = args.seed
-        threads = _resolve_threads(args.threads)
-        if threads is not None:
-            flat["threads"] = threads
         config = config_from_mapping(flat)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Angles, plane projections, and angle-to-error bounds for halfspaces.
+"""Angles, plane bases, and angle-to-error bounds for halfspaces.
 
 An origin-centered halfspace is described by its unit normal w and
 classifies a point x as sign(<w, x>). For distributions whose
@@ -116,22 +116,6 @@ def check_orthonormal_basis(basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.nd
     if abs(float(np.dot(b1, b2))) > BASIS_ORTHO_TOL:
         raise ValueError("basis vectors are not orthogonal")
     return b1, b2
-
-
-def project_to_2d(x, basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Coordinates of x in an orthonormal plane basis.
-
-    x may be a single d-vector or an (n, d) batch; the result is (2,) or
-    (n, 2) accordingly. The basis is validated for orthonormality.
-    """
-    b1, b2 = check_orthonormal_basis(basis)
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
-    if pts.shape[1] != b1.shape[0]:
-        raise ValueError(f"points have dimension {pts.shape[1]}, basis has {b1.shape[0]}")
-    out = np.column_stack((pts @ b1, pts @ b2))
-    return out[0] if single else out
 
 
 # Tail radius callables are spot-checked at these coverage levels.

@@ -23,7 +23,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from . import __version__
 from .distributions import PROFILE_BUILDERS, CertifiedProfile, MarginalSampler
 from .errors import ConfigError
 from .geometry import require_unit, sign_of
-from .learner import MODEL_MASSART, MODEL_STRONG, LearnParams, learn
+from .learner import MODEL_MASSART, MODEL_STRONG, MODES, LearnParams, learn
 from .noise import NOISE_KINDS, MassartOracle, NoiseStrategy
 from .rng import derive_seed, make_rng
 from .surrogate import SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
@@ -43,7 +42,6 @@ from .verify import StructuralCheckConfig, lemma_sigma_cap, verify_stationary_ga
 
 SCHEMA_VERSION = 1
 COMMANDS = ("learn", "verify", "gradcheck", "bench")
-THREADS_ENV_VAR = "MASSART_HALFSPACE_THREADS"
 
 # Exit codes for run(): config problems are reported before any trial
 # starts and use a distinct code so scripts can tell them apart.
@@ -118,10 +116,9 @@ def parse_config_text(text: str) -> dict:
     return flat
 
 
-# Keys that cannot affect emitted results: the output directory and the
-# thread budget (reductions are budget-independent). Excluded from the
-# config hash so a rerun into a fresh directory is byte-identical.
-_HASH_NEUTRAL_KEYS = frozenset({"out", "threads"})
+# The output directory cannot affect emitted results. It is excluded from
+# the config hash so a rerun into a fresh directory is byte-identical.
+_HASH_NEUTRAL_KEYS = frozenset({"out"})
 
 
 def config_hash(flat: dict) -> str:
@@ -150,7 +147,6 @@ class ExperimentConfig:
     trials: int
     base_seed: int
     out_dir: str
-    threads: int
     plots: bool
     marginal_kind: str
     dim: int
@@ -189,7 +185,7 @@ class ExperimentConfig:
 
 
 _KNOWN_KEYS = {
-    "command", "trials", "base_seed", "out", "threads", "plots",
+    "command", "trials", "base_seed", "out", "plots",
     "marginal.kind", "marginal.dim", "profile",
     "noise.kind", "noise.eta_bound", "noise.c_strong", "noise.band", "noise.hash_seed",
     "learn.model", "learn.mode", "learn.eps", "learn.delta", "learn.budget",
@@ -226,11 +222,8 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
 
     base_seed = get("base_seed", 0)
     need_type("base_seed", base_seed, int)
-
-    threads = get("threads", 1)
-    need_type("threads", threads, int)
-    if threads < 1:
-        raise ConfigError(f"field threads: must be at least 1, got {threads}")
+    if not (0 <= base_seed < 2**64):
+        raise ConfigError(f"field base_seed: must be an unsigned 64-bit integer, got {base_seed}")
 
     marginal_kind = get("marginal.kind", "standard_gaussian")
     dim = get("marginal.dim", 10)
@@ -268,11 +261,16 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
         model = MODEL_STRONG if noise_kind == "strong_massart_max" else MODEL_MASSART
     if model not in (MODEL_MASSART, MODEL_STRONG):
         raise ConfigError(f"field learn.model: got {model!r}")
+    mode = get("learn.mode", "practical")
+    if mode not in MODES:
+        raise ConfigError(f"field learn.mode: expected one of {MODES}, got {mode!r}")
 
     eval_samples = get("eval.samples", 100_000)
     need_type("eval.samples", eval_samples, int)
     min_pass = get("eval.min_pass", math.ceil(0.9 * trials))
     need_type("eval.min_pass", min_pass, int)
+    if not (1 <= min_pass <= trials):
+        raise ConfigError(f"field eval.min_pass: must lie in [1, trials = {trials}], got {min_pass}")
 
     angles = _floats_from(get("verify.angles", "0.7853981633974483"), "verify.angles")
     strategies = _names_from(get("verify.strategies", noise_kind))
@@ -285,14 +283,13 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
         trials=trials,
         base_seed=base_seed,
         out_dir=str(get("out", "runs")),
-        threads=threads,
         plots=bool(get("plots", False)),
         marginal_kind=marginal_kind,
         dim=dim,
         profile_name=profile_name,
         noise=noise,
         model=model,
-        mode=str(get("learn.mode", "practical")),
+        mode=mode,
         eps=float(get("learn.eps", 0.1)),
         delta=float(get("learn.delta", 0.1)),
         budget=get("learn.budget"),
@@ -609,9 +606,7 @@ def _run_bench(config: ExperimentConfig, out: Path) -> int:
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment config; returns the process exit code.
 
-    Trials execute sequentially (a worker pool of one always respects
-    the thread budget) with per-trial derived seeds, so results do not
-    depend on the budget.
+    Trials execute sequentially, each from its own derived seeds.
     """
     out = Path(config.out_dir)
     if config.command == "learn":

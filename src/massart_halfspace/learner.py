@@ -146,36 +146,38 @@ def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq:
     ))
 
 
-def schedule_massart(params: LearnParams, dim: int) -> Schedule:
-    """Hyperparameters for the bounded-noise learner in dimension dim."""
-    if params.model != MODEL_MASSART:
-        raise ValueError("schedule_massart needs a bounded-regime LearnParams")
+def schedule_for(params: LearnParams, dim: int) -> Schedule:
+    """Hyperparameters for the learner of params.model in dimension dim."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     prof = params.profile
     U, R = prof.density_bound, prof.inner_radius
-    eta, delta = params.eta_bound, params.delta
-    gap = 1.0 - 2.0 * eta
-
-    if params.mode == "theoretical":
-        eps = params.eps / 2.0  # half the budget to optimization, half to selection
-        t = float(prof.tail_radius(eps / 2.0))
-        c1 = (U / R) ** 12
-        c2 = R / U**2
-        steps = int(math.ceil(c1 * dim * t**8 / eps**4 / gap**10 * math.log(1.0 / delta)))
-        theta_target = eps * gap / (U * t**2)
-        sigma_cap = lemma_sigma_cap("sigmoid", prof, eta, theta_target)
+    # Per regime: the lemma_sigma_cap family and its parameter, the gap
+    # (1 - 2 eta or c) and its exponent in T, the separation factor that
+    # scales the target angle and the selection resolution, and the
+    # hidden-constant factors C1(U, R), C2(U, R) of the theoretical schedule.
+    if params.model == MODEL_MASSART:
+        cap_kind, cap_param, power = "sigmoid", params.eta_bound, 10
+        gap = separation = 1.0 - 2.0 * params.eta_bound
+        c1, c2 = (U / R) ** 12, R / U**2
+    else:
+        cap_kind, cap_param, power = "strong", params.c_strong, 6
+        gap, separation = params.c_strong, 1.0
+        c1, c2 = U**12 / R**18, R**1.5 / U**2
+    theoretical = params.mode == "theoretical"
+    # theoretical: half the budget to optimization, half to selection
+    eps = params.eps / 2.0 if theoretical else params.eps
+    t = float(prof.tail_radius(eps / 2.0))
+    theta_target = eps * separation / (U * t**2)
+    sigma_cap = lemma_sigma_cap(cap_kind, prof, cap_param, theta_target)
+    if theoretical:
+        steps = int(math.ceil(c1 * dim * t**8 / (eps**4 * gap**power) * math.log(1.0 / params.delta)))
         sigma = min(c2 * math.sqrt(gap) * eps / t**2, sigma_cap)
         beta = c2**2 * dim * gap**3 * eps**2 / (t**4 * math.sqrt(steps))
-        gap_sq = (eps * gap) ** 2
     else:
-        eps = params.eps
         steps = min(PRACTICAL_STEPS_CAP, int(math.ceil(PRACTICAL_STEPS_SCALE * dim / (eps**2 * gap**2))))
-        theta_target = eps * gap / (U * float(prof.tail_radius(eps / 2.0)) ** 2)
-        sigma_cap = lemma_sigma_cap("sigmoid", prof, eta, theta_target)
         sigma = PRACTICAL_SIGMA
         beta = 1.0 / math.sqrt(steps)
-        gap_sq = (eps * gap) ** 2
 
     if params.steps_override is not None:
         steps = params.steps_override
@@ -185,70 +187,37 @@ def schedule_massart(params: LearnParams, dim: int) -> Schedule:
         steps=steps,
         step_size=params.step_size_override if params.step_size_override is not None else beta,
         sigma=params.sigma_override if params.sigma_override is not None else sigma,
-        selection_samples=_selection_count(params, steps, record_every, gap_sq),
+        selection_samples=_selection_count(params, steps, record_every, (eps * separation) ** 2),
         record_every=record_every,
         theta_target=theta_target,
         sigma_cap=sigma_cap,
     )
 
 
-def schedule_strong_massart(params: LearnParams, dim: int) -> Schedule:
-    """Hyperparameters for the strong-regime learner in dimension dim."""
-    if params.model != MODEL_STRONG:
-        raise ValueError("schedule_strong_massart needs a strong-regime LearnParams")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    prof = params.profile
-    U, R = prof.density_bound, prof.inner_radius
-    c, delta = params.c_strong, params.delta
-
-    if params.mode == "theoretical":
-        eps = params.eps / 2.0
-        t = float(prof.tail_radius(eps / 2.0))
-        c1 = U**12 / R**18
-        c2 = R**1.5 / U**2
-        steps = int(math.ceil(c1 * dim * t**8 / (eps**4 * c**6) * math.log(1.0 / delta)))
-        theta_target = eps / (U * t**2)
-        sigma_cap = lemma_sigma_cap("strong", prof, c, theta_target)
-        sigma = min(c2 * math.sqrt(c) * eps / t**2, sigma_cap)
-        beta = c2**2 * dim * c**3 * eps**2 / (t**4 * math.sqrt(steps))
-        gap_sq = eps**2
-    else:
-        eps = params.eps
-        steps = min(PRACTICAL_STEPS_CAP, int(math.ceil(PRACTICAL_STEPS_SCALE * dim / (eps**2 * c**2))))
-        theta_target = eps / (U * float(prof.tail_radius(eps / 2.0)) ** 2)
-        sigma_cap = lemma_sigma_cap("strong", prof, c, theta_target)
-        sigma = PRACTICAL_SIGMA
-        beta = 1.0 / math.sqrt(steps)
-        gap_sq = eps**2
-
-    if params.steps_override is not None:
-        steps = params.steps_override
-    _check_budget(steps, params.budget)
-    record_every = _auto_record_every(steps, params.record_every)
-    return Schedule(
-        steps=steps,
-        step_size=params.step_size_override if params.step_size_override is not None else beta,
-        sigma=params.sigma_override if params.sigma_override is not None else sigma,
-        selection_samples=_selection_count(params, steps, record_every, gap_sq),
-        record_every=record_every,
-        theta_target=theta_target,
-        sigma_cap=sigma_cap,
-    )
+# The selection count works through blocks of about this many candidate-point
+# products (4 MB of float64), few enough to stay in cache.
+_BLOCK_PRODUCTS = 1 << 19
 
 
-def schedule_for(params: LearnParams, dim: int) -> Schedule:
-    if params.model == MODEL_MASSART:
-        return schedule_massart(params, dim)
-    return schedule_strong_massart(params, dim)
-
-
-def _count_disagreements(candidates: np.ndarray, xs: np.ndarray, ys: np.ndarray, wrong: np.ndarray) -> None:
-    # sign(p) != y, with the tie p == 0 predicting +1 as in sign_of
-    prods = xs @ candidates.T
-    if not np.isfinite(prods).all():
-        raise ValueError("selection products must be finite")
-    wrong += np.count_nonzero((prods >= 0.0) != (ys > 0.0)[:, None], axis=0)
+def _select(candidates: np.ndarray, slabs, n: int) -> tuple[int, float, np.ndarray]:
+    """First-argmin candidate over n points arriving as (xs, ys) slabs."""
+    k = candidates.shape[0]
+    wrong = np.zeros(k)
+    rows = max(1, _BLOCK_PRODUCTS // k)
+    for xs, ys in slabs:
+        positive = ys > 0.0
+        for lo in range(0, xs.shape[0], rows):
+            # (k, rows): one contiguous row per candidate, so the count runs along rows
+            prods = candidates @ xs[lo : lo + rows].T
+            if not np.isfinite(prods).all():
+                raise ValueError("selection products must be finite")
+            # sign(p) != y, with the tie p == 0 predicting +1 as in sign_of
+            miss = prods >= 0.0
+            miss ^= positive[lo : lo + rows]
+            wrong += np.count_nonzero(miss, axis=1)
+    errors = wrong / n
+    idx = int(np.argmin(errors))
+    return idx, float(errors[idx]), errors
 
 
 def select_hypothesis(
@@ -268,12 +237,7 @@ def select_hypothesis(
     n = xs.shape[0]
     if n == 0:
         raise ValueError("selection sample is empty")
-    wrong = np.zeros(candidates.shape[0])
-    for lo in range(0, n, chunk):
-        _count_disagreements(candidates, xs[lo : lo + chunk], ys[lo : lo + chunk], wrong)
-    errors = wrong / n
-    idx = int(np.argmin(errors))
-    return idx, float(errors[idx]), errors
+    return _select(candidates, ((xs[lo : lo + chunk], ys[lo : lo + chunk]) for lo in range(0, n, chunk)), n)
 
 
 def excess_to_target_error(excess: float, eta_bound: float) -> float:
@@ -308,10 +272,6 @@ _STREAM_CHUNK = 8192
 _SELECT_CHUNK = 1 << 17
 
 
-def _massart_compatible(kind: str) -> bool:
-    return kind in BOUNDED_NOISE_KINDS
-
-
 def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> LearnReport:
     """Run the full pipeline against a noisy example oracle.
 
@@ -322,7 +282,7 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     """
     t0 = time.perf_counter()
     kind = oracle.strategy.kind
-    if params.model == MODEL_MASSART and not _massart_compatible(kind):
+    if params.model == MODEL_MASSART and kind not in BOUNDED_NOISE_KINDS:
         raise ValueError(f"bounded-regime learner cannot consume strategy kind {kind!r}")
     if params.model == MODEL_STRONG and kind != "strong_massart_max":
         raise ValueError(f"strong-regime learner needs strategy strong_massart_max, got {kind!r}")
@@ -358,15 +318,14 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     # selection then prefers +w over -w and earlier steps over later ones.
     candidates = np.vstack([trajectory.iterates, -trajectory.iterates])
     sel_oracle = oracle.spawn(STREAM_SELECT)
-    wrong = np.zeros(candidates.shape[0])
-    remaining = sched.selection_samples
-    while remaining > 0:
-        sel = sel_oracle.draw(min(remaining, _SELECT_CHUNK))
-        _count_disagreements(candidates, sel.xs, sel.ys, wrong)
-        remaining -= len(sel)
-    errors = wrong / sched.selection_samples
-    idx = int(np.argmin(errors))
-    err = float(errors[idx])
+    n = sched.selection_samples
+
+    def slabs():
+        for lo in range(0, n, _SELECT_CHUNK):
+            sel = sel_oracle.draw(min(_SELECT_CHUNK, n - lo))
+            yield sel.xs, sel.ys
+
+    idx, err, errors = _select(candidates, slabs(), n)
     k = trajectory.iterates.shape[0]
     sign = 1 if idx < k else -1
     step = int(trajectory.step_indices[idx % k])

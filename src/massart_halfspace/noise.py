@@ -98,9 +98,6 @@ class Draw:
     ys: np.ndarray       # (n,) noisy labels in {-1, +1}
     flipped: np.ndarray  # (n,) True where the clean label was inverted
 
-    def clean_ys(self) -> np.ndarray:
-        return np.where(self.flipped, -self.ys, self.ys)
-
     def __len__(self) -> int:
         return self.xs.shape[0]
 

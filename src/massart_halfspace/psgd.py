@@ -36,7 +36,6 @@ class PsgdConfig:
     step_size: float
     seed: int = 0
     record_every: int = 1
-    record_grad_norms: bool = False
 
     def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 1:
@@ -54,7 +53,6 @@ class Trajectory:
 
     step_indices: np.ndarray  # (k,) int64, strictly increasing, starts at 0
     iterates: np.ndarray      # (k, d), rows have unit norm
-    grad_norms: np.ndarray | None = None  # stochastic ||g|| at each recorded step (nan at 0)
 
     def __len__(self) -> int:
         return int(self.step_indices.shape[0])
@@ -100,7 +98,6 @@ def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -
     steps, beta = config.steps, config.step_size
     record = _recorded_steps(steps, config.record_every)
     iterates = np.empty((record.shape[0], len(w)))
-    grad_norms = np.full(record.shape[0], np.nan) if config.record_grad_norms else None
     iterates[0] = w
     slot = 1
     next_record = int(record[1]) if record.shape[0] > 1 else -1
@@ -114,11 +111,9 @@ def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -
         w = [vi / nv for vi in v]
         if i == next_record:
             iterates[slot] = w
-            if grad_norms is not None:
-                grad_norms[slot] = float(np.linalg.norm(g))
             slot += 1
             next_record = int(record[slot]) if slot < record.shape[0] else -1
-    return Trajectory(step_indices=record, iterates=iterates, grad_norms=grad_norms)
+    return Trajectory(step_indices=record, iterates=iterates)
 
 
 def psgd_run_batch(batch_oracle, config: PsgdConfig, w0s: np.ndarray) -> Trajectory:
@@ -156,7 +151,7 @@ def psgd_run_batch(batch_oracle, config: PsgdConfig, w0s: np.ndarray) -> Traject
             iterates[slot] = W
             slot += 1
             next_record = int(record[slot]) if slot < record.shape[0] else -1
-    return Trajectory(step_indices=record, iterates=iterates, grad_norms=None)
+    return Trajectory(step_indices=record, iterates=iterates)
 
 
 def theoretical_step_size(
@@ -194,25 +189,3 @@ def theoretical_iteration_count(
     )
     return int(math.ceil(numerator / eps**4))
 
-
-@dataclass(frozen=True)
-class StationarityCertificate:
-    step_index: int
-    grad_norm: float
-    stderr: float
-
-
-def stationarity_certificate(trajectory: Trajectory, grad_norm_estimator) -> StationarityCertificate:
-    """Most stationary recorded iterate, by an externally supplied estimator.
-
-    grad_norm_estimator(w) -> (norm_estimate, stderr). Ties break toward
-    the smallest step index.
-    """
-    if trajectory.iterates.ndim != 2:
-        raise ValueError("stationarity_certificate expects a single-run trajectory")
-    best = None
-    for idx, w in zip(trajectory.step_indices, trajectory.iterates):
-        norm, stderr = grad_norm_estimator(w)
-        if best is None or norm < best[1]:
-            best = (int(idx), float(norm), float(stderr))
-    return StationarityCertificate(step_index=best[0], grad_norm=best[1], stderr=best[2])

@@ -111,12 +111,7 @@ def per_sample_loss(w, x, y: float, spec: SurrogateSpec) -> float:
 
 def per_sample_gradient(w, x, y: float, spec: SurrogateSpec) -> np.ndarray:
     """Gradient in w of the per-sample surrogate loss (orthogonal to w)."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    norm = _norm_checked(w)
-    m = float(x @ w) / norm
-    coef = -y * surrogate_derivative(spec, -y * m)
-    return coef * (x - m * (w / norm)) / norm
+    return sample_gradients(w, [x], [y], spec)[0]
 
 
 def sample_gradients(w, xs, ys, spec: SurrogateSpec) -> np.ndarray:
@@ -127,7 +122,11 @@ def sample_gradients(w, xs, ys, spec: SurrogateSpec) -> np.ndarray:
     norm = _norm_checked(w)
     ms = xs @ w / norm
     coefs = -ys * surrogate_derivative(spec, -ys * ms)
-    return (coefs / norm)[:, None] * (xs - np.outer(ms, w / norm))
+    # multiply, then divide by norm: per_sample_gradient's results depend on this order
+    grads = xs - np.outer(ms, w / norm)
+    grads *= coefs[:, None]
+    grads /= norm
+    return grads
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,12 @@ from massart_halfspace import (
     error_lower_bound_from_angle,
     error_upper_bound_from_angle,
     orthonormal_basis_of_span,
-    project_to_2d,
     sign_of,
 )
 from massart_halfspace.geometry import check_orthonormal_basis, require_unit, unit_vector
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
-E3 = np.array([0.0, 0.0, 1.0])
 
 
 def vectors(min_dim=1, max_dim=8):
@@ -83,37 +81,6 @@ class TestAngleBetween:
         for other in (angle_between(v, u), angle_between(c * u, v)):
             assert math.cos(other) == pytest.approx(math.cos(a), abs=1e-12)
             assert other == pytest.approx(a, abs=1e-6)
-
-
-class TestProjectTo2d:
-    def test_axis_examples(self):
-        basis = (E1, E2)
-        assert project_to_2d(E1, basis).tolist() == [1.0, 0.0]
-        assert project_to_2d(E3, basis).tolist() == [0.0, 0.0]
-        assert project_to_2d(np.array([1.0, 1.0, 1.0]), basis).tolist() == [1.0, 1.0]
-
-    def test_batch_shape(self):
-        pts = np.arange(12.0).reshape(4, 3)
-        out = project_to_2d(pts, (E1, E2))
-        assert out.shape == (4, 2)
-        assert np.array_equal(out, pts[:, :2])
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            project_to_2d(E1, (E1, E1))
-        with pytest.raises(ValueError):
-            project_to_2d(E1, (2.0 * E1, E2))
-
-    @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30)
-    def test_preserves_in_plane_inner_products(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        b1, b2 = orthonormal_basis_of_span(rng.standard_normal(dim), rng.standard_normal(dim))
-        x = rng.standard_normal(dim)
-        w = 0.3 * b1 - 1.7 * b2  # arbitrary in-plane vector
-        lhs = float(w @ x)
-        rhs = float(project_to_2d(w, (b1, b2)) @ project_to_2d(x, (b1, b2)))
-        assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
 
 class TestOrthonormalBasisOfSpan:

@@ -15,13 +15,12 @@ from massart_halfspace import (
     excess_to_target_error,
     gaussian_profile,
     learn,
+    lemma_sigma_cap,
     schedule_for,
-    schedule_massart,
-    schedule_strong_massart,
     select_hypothesis,
     sign_of,
 )
-from massart_halfspace.learner import _STREAM_CHUNK, _count_disagreements
+from massart_halfspace.learner import _BLOCK_PRODUCTS, _STREAM_CHUNK
 
 DISK = disk_profile().profile
 
@@ -80,7 +79,7 @@ class TestTheoreticalSchedules:
     def test_bounded_regression_tuple(self):
         # frozen from standalone arithmetic on the disk constants
         # (U=4*pi, R=2, t=2) at d=10, eps=0.1, eta=0.3, delta=0.1
-        sched = schedule_massart(_massart_params(mode="theoretical"), 10)
+        sched = schedule_for(_massart_params(mode="theoretical"), 10)
         assert float(sched.steps) == pytest.approx(3.4051335028632426e22, rel=1e-12)
         assert sched.step_size == pytest.approx(8.692675416002418e-20, rel=1e-12)
         assert sched.sigma == pytest.approx(5.006339173122589e-06, rel=1e-12)
@@ -91,7 +90,7 @@ class TestTheoreticalSchedules:
 
     def test_strong_regression_tuple(self):
         # frozen from standalone arithmetic at d=5, eps=0.1, c=0.5, delta=0.1
-        sched = schedule_strong_massart(_strong_params(mode="theoretical"), 5)
+        sched = schedule_for(_strong_params(mode="theoretical"), 5)
         assert sched.steps == 1785270633949164800
         assert sched.step_size == pytest.approx(2.3447607930408094e-17, rel=1e-12)
         assert sched.sigma == pytest.approx(6.596430138892129e-06, rel=1e-12)
@@ -102,33 +101,33 @@ class TestTheoreticalSchedules:
     def test_noise_gap_scaling(self):
         # T carries the gap to the -10th power: eta=0.4 has gap 0.2,
         # eta=0 has gap 1, so the ratio is 5^10
-        t_clean = schedule_massart(_massart_params(eta_bound=0.0, mode="theoretical"), 4).steps
-        t_noisy = schedule_massart(_massart_params(eta_bound=0.4, mode="theoretical"), 4).steps
+        t_clean = schedule_for(_massart_params(eta_bound=0.0, mode="theoretical"), 4).steps
+        t_noisy = schedule_for(_massart_params(eta_bound=0.4, mode="theoretical"), 4).steps
         assert t_noisy / t_clean == pytest.approx(5.0**10, rel=1e-12)
 
     def test_eps_scaling(self):
-        base = schedule_massart(_massart_params(mode="theoretical"), 4)
-        half = schedule_massart(_massart_params(eps=0.05, mode="theoretical"), 4)
+        base = schedule_for(_massart_params(mode="theoretical"), 4)
+        half = schedule_for(_massart_params(eps=0.05, mode="theoretical"), 4)
         assert half.steps / base.steps == pytest.approx(16.0, rel=1e-12)
         # sigma halves exactly up to the sin() in the cap
         assert half.sigma / base.sigma == pytest.approx(0.5, rel=1e-6)
 
     def test_strong_slope_scaling(self):
-        base = schedule_strong_massart(_strong_params(mode="theoretical"), 5)
-        halved = schedule_strong_massart(_strong_params(c_strong=0.25, mode="theoretical"), 5)
+        base = schedule_for(_strong_params(mode="theoretical"), 5)
+        halved = schedule_for(_strong_params(c_strong=0.25, mode="theoretical"), 5)
         assert halved.steps / base.steps == pytest.approx(64.0, rel=1e-12)
         # selection only grows through ln(T), not through the slope itself
         assert halved.selection_samples / base.selection_samples <= 1.15
 
     def test_dim_scaling_is_linear(self):
-        t1 = schedule_massart(_massart_params(mode="theoretical"), 3).steps
-        t2 = schedule_massart(_massart_params(mode="theoretical"), 6).steps
+        t1 = schedule_for(_massart_params(mode="theoretical"), 3).steps
+        t2 = schedule_for(_massart_params(mode="theoretical"), 6).steps
         assert t2 / t1 == pytest.approx(2.0, rel=1e-12)
 
 
 class TestPracticalSchedules:
     def test_bounded_formulas(self):
-        sched = schedule_massart(_massart_params(), 2)
+        sched = schedule_for(_massart_params(), 2)
         # hand arithmetic: 2e5*2/(0.1^2 * 0.4^2) = 2.5e8, capped at 1e6
         assert sched.steps == 1_000_000
         assert sched.step_size == pytest.approx(1.0 / math.sqrt(1_000_000), rel=1e-15)
@@ -139,33 +138,31 @@ class TestPracticalSchedules:
         assert sched.selection_samples == expected_n
 
     def test_uncapped_step_count(self):
-        sched = schedule_massart(_massart_params(eps=0.9, eta_bound=0.0), 1)
+        sched = schedule_for(_massart_params(eps=0.9, eta_bound=0.0), 1)
         assert sched.steps == math.ceil(2.0e5 / 0.9**2)
 
     def test_strong_uses_slope_in_place_of_gap(self):
-        sched = schedule_strong_massart(_strong_params(eps=0.9), 1)
+        sched = schedule_for(_strong_params(eps=0.9), 1)
         assert sched.steps == math.ceil(2.0e5 / (0.9**2 * 0.5**2))
         expected_n = math.ceil(50.0 * math.log(sched.candidate_count / 0.1) / 0.9**2)
         assert sched.selection_samples == expected_n
 
     def test_dispatch_matches_model(self):
-        assert schedule_for(_massart_params(), 3) == schedule_massart(_massart_params(), 3)
-        assert schedule_for(_strong_params(), 3) == schedule_strong_massart(_strong_params(), 3)
-        with pytest.raises(ValueError):
-            schedule_massart(_strong_params(), 3)
-        with pytest.raises(ValueError):
-            schedule_strong_massart(_massart_params(), 3)
+        regimes = ((_massart_params(), "sigmoid", 0.3), (_strong_params(), "strong", 0.5))
+        for params, cap_kind, cap_param in regimes:
+            sched = schedule_for(params, 3)
+            assert sched.sigma_cap == lemma_sigma_cap(cap_kind, DISK, cap_param, sched.theta_target)
         with pytest.raises(ValueError):
             schedule_for(_massart_params(), 0)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            schedule_massart(_massart_params(budget=500_000), 2)
-        sched = schedule_massart(_massart_params(budget=500_000, steps_override=1000), 2)
+            schedule_for(_massart_params(budget=500_000), 2)
+        sched = schedule_for(_massart_params(budget=500_000, steps_override=1000), 2)
         assert sched.steps == 1000
 
     def test_overrides_take_precedence(self):
-        sched = schedule_massart(
+        sched = schedule_for(
             _massart_params(
                 steps_override=4000,
                 step_size_override=0.02,
@@ -183,7 +180,7 @@ class TestPracticalSchedules:
         assert sched.candidate_count == 2 * 11
 
     def test_auto_record_every_targets_fifty_recordings(self):
-        sched = schedule_massart(_massart_params(steps_override=1234), 2)
+        sched = schedule_for(_massart_params(steps_override=1234), 2)
         assert sched.record_every == math.ceil(1234 / 50)
 
 
@@ -223,6 +220,18 @@ class TestSelectHypothesis:
         assert a[0] == b[0]
         assert np.array_equal(a[2], b[2])
 
+    def test_slab_split_into_blocks_matches_brute_force(self):
+        # 512 candidates make blocks of _BLOCK_PRODUCTS // 512 rows, so one
+        # 2,500-point slab is counted in two full blocks and a partial one
+        rng = np.random.default_rng(42)
+        candidates = rng.standard_normal((512, 2))
+        xs = rng.standard_normal((2500, 2))
+        ys = np.where(rng.random(2500) < 0.5, 1.0, -1.0)
+        assert 2 * (_BLOCK_PRODUCTS // 512) < 2500 < 3 * (_BLOCK_PRODUCTS // 512)
+        _, _, errors = select_hypothesis(candidates, xs, ys)
+        brute = np.count_nonzero(sign_of(xs @ candidates.T) != ys[:, None], axis=0)
+        assert np.array_equal(errors, brute / 2500)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             select_hypothesis(np.empty((0, 2)), np.ones((3, 2)), np.ones(3))
@@ -258,17 +267,16 @@ class TestDisagreementKernel:
         ys = np.where(rng.random(500) < 0.5, 1.0, -1.0)
         prods = xs @ candidates.T
         assert np.count_nonzero(prods == 0.0) >= 40 * 9 + 40 * 2
-        wrong = np.zeros(candidates.shape[0])
-        _count_disagreements(candidates, xs, ys, wrong)
+        _, _, errors = select_hypothesis(candidates, xs, ys)
         expected = np.sum(sign_of(prods) != ys[:, None], axis=0)
-        assert np.array_equal(wrong, expected)
+        assert np.array_equal(errors, expected / 500)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_product_raises(self, bad):
         candidates = np.array([[1.0, 0.0], [0.0, 1.0]])
         xs = np.array([[0.5, 0.5], [bad, 0.0]])
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            _count_disagreements(candidates, xs, np.ones(2), np.zeros(2))
+            select_hypothesis(candidates, xs, np.ones(2))
 
 
 class TestExcessConversion:

@@ -152,7 +152,7 @@ class TestOracleDraws:
         d = oracle.draw(2000)
         clean = np.sign(d.xs @ oracle.target)
         clean[clean == 0] = 1.0
-        assert np.array_equal(d.clean_ys(), clean)
+        assert np.array_equal(np.where(d.flipped, -d.ys, d.ys), clean)
         assert np.array_equal(d.ys[d.flipped], -clean[d.flipped])
         assert len(d) == 2000
 

@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from massart_halfspace import (
-    MarginalSampler,
     PsgdConfig,
     PsgdDivergenceError,
-    SurrogateSpec,
-    population_estimates,
     psgd_run,
     psgd_run_batch,
     sample_gradients,
-    stationarity_certificate,
     theoretical_iteration_count,
     theoretical_step_size,
 )
@@ -94,16 +90,6 @@ class TestSingleRun:
         assert np.array_equal(traj.step_indices, [0, 4, 8, 10])
         traj2 = psgd_run(_zero_oracle, PsgdConfig(steps=8, step_size=0.1, record_every=4), w0=E1_3)
         assert np.array_equal(traj2.step_indices, [0, 4, 8])
-
-    def test_grad_norm_recording(self):
-        e2 = np.array([0.0, 1.0, 0.0])
-        traj = psgd_run(
-            lambda w, rng: 2.0 * e2,
-            PsgdConfig(steps=3, step_size=0.1, record_grad_norms=True),
-            w0=E1_3,
-        )
-        assert math.isnan(traj.grad_norms[0])
-        assert traj.grad_norms[1] == pytest.approx(2.0, abs=1e-15)
 
     def test_nonfinite_gradient_aborts_with_step(self):
         def explode(w, rng):
@@ -219,54 +205,6 @@ class TestTheoreticalSchedules:
             theoretical_iteration_count(1.0, 1.0, 1.0, 1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             theoretical_iteration_count(1.0, 1.0, 1.0, -1.0, 0.5, 0.5)
-
-
-class TestStationarityCertificate:
-    def _traj(self, iterates):
-        arr = np.asarray(iterates, dtype=np.float64)
-        return type(psgd_run(_zero_oracle, PsgdConfig(steps=1, step_size=1.0), w0=E1_3))(
-            step_indices=np.arange(arr.shape[0], dtype=np.int64), iterates=arr
-        )
-
-    def test_single_iterate(self):
-        traj = psgd_run(_zero_oracle, PsgdConfig(steps=1, step_size=1.0, record_every=5), w0=E1_3)
-        cert = stationarity_certificate(traj, lambda w: (float(w[0]), 0.01))
-        assert cert.step_index in (0, 1)
-
-    def test_picks_argmin(self):
-        traj = self._traj([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        cert = stationarity_certificate(traj, lambda w: (abs(float(w[0]) - 0.0), 0.0))
-        assert cert.step_index == 1
-        assert cert.grad_norm == 0.0
-
-    def test_tie_breaks_to_smallest_index(self):
-        traj = self._traj([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        cert = stationarity_certificate(traj, lambda w: (0.5, 0.1))
-        assert cert.step_index == 0
-
-    def test_rejects_batch_trajectory(self):
-        batch = psgd_run_batch(
-            lambda W, rng: np.zeros_like(W), PsgdConfig(steps=1, step_size=1.0), np.eye(2)
-        )
-        with pytest.raises(ValueError):
-            stationarity_certificate(batch, lambda w: (0.0, 0.0))
-
-    def test_target_certifies_near_stationary_under_clean_labels(self):
-        target = np.array([1.0, 0.0, 0.0, 0.0])
-        xs = MarginalSampler(kind="standard_gaussian", dim=4, seed=61).sample(50_000)
-        ys = np.sign(xs @ target)
-        ys[ys == 0] = 1.0
-        spec = SurrogateSpec("sigmoid", 0.1)
-
-        def estimator(w):
-            est = population_estimates(w, xs, ys, spec)
-            return est.gradient_norm, est.gradient_norm_stderr
-
-        off = np.array([0.8, 0.6, 0.0, 0.0])
-        traj = self._traj([off, target, [0.0, 1.0, 0.0, 0.0]])
-        cert = stationarity_certificate(traj, estimator)
-        assert cert.step_index == 1
-        assert cert.grad_norm <= 3 * cert.stderr
 
 
 class TestMeanStationarity:
