@@ -18,7 +18,6 @@ from .distributions import (
 from .errors import (
     BudgetExceededError,
     ConfigError,
-    DegenerateSpanError,
     PsgdDivergenceError,
     UnderpoweredCheckError,
 )
@@ -27,7 +26,6 @@ from .geometry import (
     angle_between,
     error_lower_bound_from_angle,
     error_upper_bound_from_angle,
-    orthonormal_basis_of_span,
     sign_of,
 )
 from .harness import ExperimentConfig, load_config, measure_disagreement, run
@@ -70,7 +68,6 @@ from .surrogate import (
 )
 from .verify import (
     StructuralCheckConfig,
-    good_bad_decomposition,
     lemma_gradient_floor,
     lemma_sigma_cap,
     verify_stationary_gap,
@@ -83,7 +80,6 @@ __all__ = [
     "BudgetExceededError",
     "CertifiedProfile",
     "ConfigError",
-    "DegenerateSpanError",
     "Draw",
     "ExperimentConfig",
     "LearnParams",
@@ -109,7 +105,6 @@ __all__ = [
     "error_upper_bound_from_angle",
     "excess_to_target_error",
     "gaussian_profile",
-    "good_bad_decomposition",
     "learn",
     "lemma_gradient_floor",
     "lemma_sigma_cap",
@@ -119,7 +114,6 @@ __all__ = [
     "margin",
     "measure_disagreement",
     "noise_rates",
-    "orthonormal_basis_of_span",
     "per_sample_gradient",
     "per_sample_loss",
     "plane_density",

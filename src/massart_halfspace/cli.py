@@ -14,7 +14,7 @@ from .harness import (
     COMMANDS,
     EXIT_CONFIG,
     config_from_mapping,
-    parse_config_text,
+    read_config,
     run,
 )
 
@@ -42,11 +42,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        try:
-            text = open(args.config).read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        flat = parse_config_text(text)
+        flat = read_config(args.config)
         declared = flat.get("command")
         if declared is not None and declared != args.command:
             raise ConfigError(

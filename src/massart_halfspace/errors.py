@@ -2,10 +2,6 @@
 from __future__ import annotations
 
 
-class DegenerateSpanError(ValueError):
-    """Two vectors do not span a plane (parallel, anti-parallel, or zero)."""
-
-
 class UnderpoweredCheckError(RuntimeError):
     """A statistical check cannot reach its precision target at the sample cap.
 

@@ -20,10 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSpanError
-
-# |cos| above this value means the two directions span no plane.
-PARALLEL_COS_TOL = 1.0 - 1e-12
 # Unit vectors must have norm 1 up to this additive slack.
 UNIT_NORM_TOL = 1e-12
 # Basis pairs must be orthonormal up to this slack.
@@ -84,24 +80,6 @@ def angle_between(u, v) -> float:
         raise ValueError(f"angle_between: shape mismatch {uu.shape} vs {vv.shape}")
     cos = float(np.clip(np.dot(uu, vv), -1.0, 1.0))
     return math.acos(cos)
-
-
-def orthonormal_basis_of_span(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt basis (b1, b2) of span(u, v), with b1 along u.
-
-    Raises DegenerateSpanError when the inputs are parallel or
-    anti-parallel (|cos| >= 1 - 1e-12 after normalization).
-    """
-    b1 = unit_vector(u, "u")
-    vv = unit_vector(v, "v")
-    if b1.shape != vv.shape:
-        raise ValueError(f"orthonormal_basis_of_span: shape mismatch {b1.shape} vs {vv.shape}")
-    cos = float(np.dot(b1, vv))
-    if abs(cos) >= PARALLEL_COS_TOL:
-        raise DegenerateSpanError(f"inputs are parallel up to tolerance (cos = {cos!r})")
-    resid = vv - cos * b1
-    b2 = resid / float(np.linalg.norm(resid))
-    return b1, b2
 
 
 def check_orthonormal_basis(basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -25,19 +25,21 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .distributions import PROFILE_BUILDERS, CertifiedProfile, MarginalSampler
-from .errors import ConfigError
+from .distributions import PROFILE_BUILDERS, SAMPLER_KINDS, CertifiedProfile, MarginalSampler, plane_density
+from .errors import BudgetExceededError, ConfigError, PsgdDivergenceError, UnderpoweredCheckError
 from .geometry import require_unit, sign_of
-from .learner import MODEL_MASSART, MODEL_STRONG, MODES, LearnParams, learn
+from .learner import MODEL_MASSART, MODEL_STRONG, MODES, LearnParams, learn, plan_learning
 from .noise import NOISE_KINDS, MassartOracle, NoiseStrategy
 from .rng import derive_seed, make_rng
-from .surrogate import SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
+from .surrogate import SURROGATE_KINDS, SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
 from .verify import StructuralCheckConfig, lemma_sigma_cap, verify_stationary_gap
 
 SCHEMA_VERSION = 1
@@ -116,9 +118,80 @@ def parse_config_text(text: str) -> dict:
     return flat
 
 
-# The output directory cannot affect emitted results. It is excluded from
-# the config hash so a rerun into a fresh directory is byte-identical.
-_HASH_NEUTRAL_KEYS = frozenset({"out"})
+class Key(NamedTuple):
+    """One config key. A range is given only where no domain object checks one."""
+
+    type: str                    # a name in _TYPES
+    default: object = None
+    choices: tuple = ()          # a str key takes only these; a float key takes them beside numbers
+    bounds: tuple | None = None  # an int lies in [lo, hi], a float in (lo, hi)
+    neutral: bool = False        # left out of config_hash
+
+
+def _floats(value) -> tuple | None:
+    """Finite floats from one number (ints count, bools do not) or from a string of
+    comma-separated numbers; None if value is neither or any of them is not finite."""
+    if isinstance(value, bool):
+        return None
+    try:
+        out = tuple(map(float, value.split(","))) if isinstance(value, str) else (float(value),)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if all(map(math.isfinite, out)) else None
+
+
+# Each type reads a flat value, giving None where the value is not of that type.
+_TYPES = {
+    "bool": lambda v: v if isinstance(v, bool) else None,
+    "int": lambda v: v if isinstance(v, int) and not isinstance(v, bool) else None,
+    "float": lambda v: None if isinstance(v, str) or _floats(v) is None else float(v),
+    "str": lambda v: v if isinstance(v, str) else None,
+    "floats": _floats,
+    "names": lambda v: tuple(p.strip() for p in v.split(",")) if isinstance(v, str) else None,
+}
+
+# Every config key. README's "Keys" section states the same table.
+SCHEMA = {
+    "command": Key("str", None, COMMANDS),
+    "trials": Key("int", 1, bounds=(1, math.inf)),
+    "base_seed": Key("int", 0),
+    "out": Key("str", "runs", neutral=True),
+    "plots": Key("bool", False),
+    "marginal.kind": Key("str", "standard_gaussian", SAMPLER_KINDS),
+    "marginal.dim": Key("int", 10),
+    "profile": Key("str", "auto", ("auto", *PROFILE_BUILDERS)),
+    "noise.kind": Key("str", "none", NOISE_KINDS),
+    "noise.eta_bound": Key("float", 0.0),
+    "noise.c_strong": Key("float", 1.0),
+    "noise.band": Key("float", 0.0),
+    "noise.hash_seed": Key("int", 0),
+    "learn.model": Key("str", "auto", ("auto", MODEL_MASSART, MODEL_STRONG)),
+    "learn.mode": Key("str", "practical", MODES),
+    "learn.eps": Key("float", 0.1),
+    "learn.delta": Key("float", 0.1),
+    "learn.budget": Key("int"),
+    "learn.record_every": Key("int", 0),
+    "learn.steps": Key("int"),
+    "learn.step_size": Key("float"),
+    "learn.sigma": Key("float"),
+    "learn.selection": Key("int"),
+    "eval.samples": Key("int", 100_000, bounds=(1000, math.inf)),
+    "eval.min_pass": Key("int", bounds=(1, math.inf)),  # default ceil(0.9 * trials), at most trials
+    "verify.surrogate": Key("str", "sigmoid", SURROGATE_KINDS),
+    "verify.sigma": Key("float", "cap", ("cap",)),
+    "verify.angles": Key("floats", (0.7853981633974483,)),
+    "verify.strategies": Key("names"),  # default (noise.kind,)
+    "verify.mc_samples": Key("int", 1 << 15),
+    "verify.confidence_sigmas": Key("float", 3.0),
+    "gradcheck.cases": Key("int", 200, bounds=(1, math.inf)),
+    "gradcheck.step": Key("float", 1e-6, bounds=(0.0, 1.0)),
+    "gradcheck.tol": Key("float", 1e-5, bounds=(0.0, math.inf)),
+    "bench.samples": Key("int", 200_000, bounds=(1, math.inf)),
+}
+
+# Keys that cannot affect emitted results, such as the output directory;
+# config_hash leaves them out so a rerun into a fresh directory is byte-identical.
+_HASH_NEUTRAL_KEYS = frozenset(key for key, spec in SCHEMA.items() if spec.neutral)
 
 
 def config_hash(flat: dict) -> str:
@@ -126,200 +199,125 @@ def config_hash(flat: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _floats_from(value, key: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),)
+def _typed(key: str, spec: Key, value):
+    if value in spec.choices:
+        return value
+    closed = spec.type == "str" and bool(spec.choices)  # nothing but a choice will do
+    typed = None if closed else _TYPES[spec.type](value)
+    if typed is None:
+        want = f"one of {spec.choices}" if closed else " or ".join([spec.type, *map(repr, spec.choices)])
+        raise ConfigError(f"field {key}: expected {want}, got {value!r}")
+    lo, hi = spec.bounds or (None, None)
+    if lo is not None and not (lo < typed < hi if spec.type == "float" else lo <= typed <= hi):
+        interval = f"({lo}, {hi})" if spec.type == "float" else f"[{lo}, {hi}]"
+        raise ConfigError(f"field {key}: must lie in {interval}, got {value!r}")
+    return typed
+
+
+@contextmanager
+def _section(name: str):
+    """Report a domain object's refusal of its inputs as a config error about name."""
     try:
-        return tuple(float(part) for part in str(value).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"field {key}: expected comma-separated numbers, got {value!r}") from exc
-
-
-def _names_from(value) -> tuple[str, ...]:
-    return tuple(part.strip() for part in str(value).split(",") if part.strip())
+        yield
+    except (ValueError, ArithmeticError, BudgetExceededError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, fully-typed view of one config file."""
+    """A checked config: each key's value, defaults and `auto` resolved, and its domain objects."""
 
-    command: str
-    trials: int
-    base_seed: int
-    out_dir: str
-    plots: bool
-    marginal_kind: str
-    dim: int
-    profile_name: str
+    values: dict
+    marginal: MarginalSampler
+    certified: CertifiedProfile
     noise: NoiseStrategy
-    model: str
-    mode: str
-    eps: float
-    delta: float
-    budget: int | None
-    record_every: int
-    steps_override: int | None
-    step_size_override: float | None
-    sigma_override: float | None
-    selection_override: int | None
-    eval_samples: int
-    min_pass: int
-    verify_surrogate: str
-    verify_sigma: float | str
-    verify_angles: tuple[float, ...]
-    verify_strategies: tuple[str, ...]
-    verify_mc_samples: int
-    verify_confidence: float
-    gradcheck_cases: int
-    gradcheck_step: float
-    gradcheck_tol: float
-    bench_samples: int
+    params: LearnParams | None  # learn only
+    checks: tuple[StructuralCheckConfig, ...]  # verify only, one per strategy
     flat: dict = field(repr=False)
 
     @property
     def hash(self) -> str:
         return config_hash(self.flat)
 
-    def certified_profile(self) -> CertifiedProfile:
-        return PROFILE_BUILDERS[self.profile_name]()
-
-
-_KNOWN_KEYS = {
-    "command", "trials", "base_seed", "out", "plots",
-    "marginal.kind", "marginal.dim", "profile",
-    "noise.kind", "noise.eta_bound", "noise.c_strong", "noise.band", "noise.hash_seed",
-    "learn.model", "learn.mode", "learn.eps", "learn.delta", "learn.budget",
-    "learn.record_every", "learn.steps", "learn.step_size", "learn.sigma",
-    "learn.selection",
-    "eval.samples", "eval.min_pass",
-    "verify.surrogate", "verify.sigma", "verify.angles", "verify.strategies",
-    "verify.mc_samples", "verify.confidence_sigmas",
-    "gradcheck.cases", "gradcheck.step", "gradcheck.tol",
-    "bench.samples",
-}
-
 
 def config_from_mapping(flat: dict) -> ExperimentConfig:
-    unknown = sorted(set(flat) - _KNOWN_KEYS)
+    """Check flat against SCHEMA, then build every domain object the command
+    uses, so that each object's own checks run before any trial does."""
+    unknown = sorted(set(flat) - set(SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-
-    def get(key, default=None):
-        return flat.get(key, default)
-
-    def need_type(key, value, kind) -> None:
-        if not isinstance(value, kind):
-            raise ConfigError(f"field {key}: expected {kind.__name__}, got {value!r}")
-
-    command = get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"field command: expected one of {COMMANDS}, got {command!r}")
-
-    trials = get("trials", 1)
-    need_type("trials", trials, int)
-    if trials < 1:
-        raise ConfigError(f"field trials: must be at least 1, got {trials}")
-
-    base_seed = get("base_seed", 0)
-    need_type("base_seed", base_seed, int)
-    if not (0 <= base_seed < 2**64):
-        raise ConfigError(f"field base_seed: must be an unsigned 64-bit integer, got {base_seed}")
-
-    marginal_kind = get("marginal.kind", "standard_gaussian")
-    dim = get("marginal.dim", 10)
-    need_type("marginal.dim", dim, int)
-
-    profile_name = get("profile", "auto")
-    if profile_name == "auto":
-        profile_name = _AUTO_PROFILE.get(marginal_kind)
-        if profile_name is None:
-            raise ConfigError(
-                f"field profile: no automatic profile for marginal kind {marginal_kind!r}; "
-                "set one explicitly"
-            )
-    if profile_name not in PROFILE_BUILDERS:
-        raise ConfigError(
-            f"field profile: expected one of {sorted(PROFILE_BUILDERS)}, got {profile_name!r}"
-        )
-
-    noise_kind = get("noise.kind", "none")
-    if noise_kind not in NOISE_KINDS:
-        raise ConfigError(f"field noise.kind: expected one of {NOISE_KINDS}, got {noise_kind!r}")
-    try:
+    v = {key: _typed(key, spec, flat[key]) if key in flat else spec.default for key, spec in SCHEMA.items()}
+    if v["command"] is None:
+        raise ConfigError(f"field command: expected one of {COMMANDS}, got None")
+    with _section("field base_seed"):
+        derive_seed(v["base_seed"])
+    trials = v["trials"]
+    if v["eval.min_pass"] is None:
+        v["eval.min_pass"] = -(-9 * trials // 10)  # ceil(0.9 * trials)
+    if v["eval.min_pass"] > trials:
+        raise ConfigError(f"field eval.min_pass: must not exceed trials = {trials}, got {v['eval.min_pass']}")
+    if v["profile"] == "auto":
+        v["profile"] = _AUTO_PROFILE.get(v["marginal.kind"])
+        if v["profile"] is None:
+            raise ConfigError(f"field profile: no automatic profile for marginal kind {v['marginal.kind']!r}")
+    with _section("marginal section"):
+        marginal = MarginalSampler(kind=v["marginal.kind"], dim=v["marginal.dim"])
+        if v["command"] == "verify":
+            plane_density(marginal.kind, marginal.dim)  # what the verify estimator samples
+    with _section("noise section"):
         noise = NoiseStrategy(
-            kind=noise_kind,
-            eta_bound=float(get("noise.eta_bound", 0.0)),
-            c_strong=float(get("noise.c_strong", 1.0)),
-            band=float(get("noise.band", 0.0)),
-            hash_seed=int(get("noise.hash_seed", 0)),
+            kind=v["noise.kind"], eta_bound=v["noise.eta_bound"], c_strong=v["noise.c_strong"],
+            band=v["noise.band"], hash_seed=v["noise.hash_seed"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"noise section: {exc}") from exc
+    certified = PROFILE_BUILDERS[v["profile"]]()
+    if v["learn.model"] == "auto":
+        v["learn.model"] = MODEL_STRONG if noise.kind == "strong_massart_max" else MODEL_MASSART
+    v["verify.strategies"] = v["verify.strategies"] or (noise.kind,)
+    params, checks = None, []
+    if v["command"] == "learn":
+        massart = v["learn.model"] == MODEL_MASSART
+        with _section("learn section"):
+            params = LearnParams(
+                model=v["learn.model"], eps=v["learn.eps"], profile=certified.profile,
+                delta=v["learn.delta"], eta_bound=noise.eta_bound if massart else None,
+                c_strong=None if massart else noise.c_strong, mode=v["learn.mode"],
+                budget=v["learn.budget"], record_every=v["learn.record_every"],
+                steps_override=v["learn.steps"], step_size_override=v["learn.step_size"],
+                sigma_override=v["learn.sigma"], selection_override=v["learn.selection"],
+            )
+            plan_learning(params, noise.kind, marginal.dim)
+    if v["command"] == "verify":
+        edges = [min(a, math.pi - a) for a in v["verify.angles"] if a > 0.0]
+        if v["verify.sigma"] == "cap" and not edges:
+            raise ConfigError("field verify.sigma: `cap` needs a positive angle in verify.angles")
+        for si, kind in enumerate(v["verify.strategies"]):
+            with _section("field verify.strategies"):
+                strategy = replace(noise, kind=kind)
+            with _section("verify section"):
+                sigma = v["verify.sigma"]
+                if sigma == "cap":  # the lemma cap at the tightest window edge
+                    lemma = "strong" if kind == "strong_massart_max" else v["verify.surrogate"]
+                    param = strategy.c_strong if lemma == "strong" else strategy.eta_bound
+                    sigma = lemma_sigma_cap(lemma, certified.profile, param, min(edges))
+                checks.append(StructuralCheckConfig(
+                    surrogate=SurrogateSpec(kind=v["verify.surrogate"], sigma=sigma), noise=strategy,
+                    marginal=marginal, certified=certified, angles=v["verify.angles"],
+                    mc_samples=v["verify.mc_samples"], confidence_sigmas=v["verify.confidence_sigmas"],
+                    seed=derive_seed(v["base_seed"], si),
+                ))
+    return ExperimentConfig(v, marginal, certified, noise, params, tuple(checks), dict(flat))
 
-    model = get("learn.model", "auto")
-    if model == "auto":
-        model = MODEL_STRONG if noise_kind == "strong_massart_max" else MODEL_MASSART
-    if model not in (MODEL_MASSART, MODEL_STRONG):
-        raise ConfigError(f"field learn.model: got {model!r}")
-    mode = get("learn.mode", "practical")
-    if mode not in MODES:
-        raise ConfigError(f"field learn.mode: expected one of {MODES}, got {mode!r}")
 
-    eval_samples = get("eval.samples", 100_000)
-    need_type("eval.samples", eval_samples, int)
-    min_pass = get("eval.min_pass", math.ceil(0.9 * trials))
-    need_type("eval.min_pass", min_pass, int)
-    if not (1 <= min_pass <= trials):
-        raise ConfigError(f"field eval.min_pass: must lie in [1, trials = {trials}], got {min_pass}")
-
-    angles = _floats_from(get("verify.angles", "0.7853981633974483"), "verify.angles")
-    strategies = _names_from(get("verify.strategies", noise_kind))
-    verify_sigma = get("verify.sigma", "cap")
-    if not (verify_sigma == "cap" or isinstance(verify_sigma, (int, float))):
-        raise ConfigError(f"field verify.sigma: expected 'cap' or a number, got {verify_sigma!r}")
-
-    return ExperimentConfig(
-        command=command,
-        trials=trials,
-        base_seed=base_seed,
-        out_dir=str(get("out", "runs")),
-        plots=bool(get("plots", False)),
-        marginal_kind=marginal_kind,
-        dim=dim,
-        profile_name=profile_name,
-        noise=noise,
-        model=model,
-        mode=mode,
-        eps=float(get("learn.eps", 0.1)),
-        delta=float(get("learn.delta", 0.1)),
-        budget=get("learn.budget"),
-        record_every=int(get("learn.record_every", 0)),
-        steps_override=get("learn.steps"),
-        step_size_override=get("learn.step_size"),
-        sigma_override=get("learn.sigma"),
-        selection_override=get("learn.selection"),
-        eval_samples=eval_samples,
-        min_pass=min_pass,
-        verify_surrogate=str(get("verify.surrogate", "sigmoid")),
-        verify_sigma=verify_sigma,
-        verify_angles=angles,
-        verify_strategies=strategies,
-        verify_mc_samples=int(get("verify.mc_samples", 1 << 15)),
-        verify_confidence=float(get("verify.confidence_sigmas", 3.0)),
-        gradcheck_cases=int(get("gradcheck.cases", 200)),
-        gradcheck_step=float(get("gradcheck.step", 1e-6)),
-        gradcheck_tol=float(get("gradcheck.tol", 1e-5)),
-        bench_samples=int(get("bench.samples", 200_000)),
-        flat=dict(flat),
-    )
+def read_config(path: str | Path) -> dict:
+    """The flat mapping of the config file at path."""
+    try:
+        return parse_config_text(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_mapping(parse_config_text(text))
+    return config_from_mapping(read_config(path))
 
 
 def measure_disagreement(
@@ -346,7 +344,7 @@ def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows: li
         fh.write(f"# schema_version = {SCHEMA_VERSION}\n")
         fh.write(f"# artifact = massart-halfspace {__version__}\n")
         fh.write(f"# config_hash = {config.hash}\n")
-        fh.write(f"# command = {config.command}\n")
+        fh.write(f"# command = {config.values['command']}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -354,7 +352,7 @@ def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows: li
 
 def _write_summary(out: Path, config: ExperimentConfig, payload: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"config_hash": config.hash, "command": config.command, **payload}
+    payload = {"config_hash": config.hash, "command": config.values["command"], **payload}
     with open(out / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -365,22 +363,13 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / math.sqrt(float(v @ v))
 
 
+# A trial or verify row that raises one of these is recorded as an abort;
+# any other exception is a fault and propagates.
+_ABORTS = (PsgdDivergenceError, UnderpoweredCheckError)
+
+
 def _run_learn(config: ExperimentConfig, out: Path) -> int:
-    params = LearnParams(
-        model=config.model,
-        eps=config.eps,
-        profile=config.certified_profile().profile,
-        delta=config.delta,
-        eta_bound=config.noise.eta_bound if config.model == MODEL_MASSART else None,
-        c_strong=config.noise.c_strong if config.model == MODEL_STRONG else None,
-        mode=config.mode,
-        budget=config.budget,
-        record_every=config.record_every,
-        steps_override=config.steps_override,
-        step_size_override=config.step_size_override,
-        sigma_override=config.sigma_override,
-        selection_override=config.selection_override,
-    )
+    v, params, seed = config.values, config.params, config.values["base_seed"]
     header = [
         "trial", "seed", "disagreement", "disagreement_stderr", "noisy_error",
         "opt_estimate", "opt_stderr", "excess_error", "samples_used", "steps",
@@ -393,37 +382,32 @@ def _run_learn(config: ExperimentConfig, out: Path) -> int:
     aborts = 0
     disagreements: list[float] = []
     excesses: list[float] = []
-    for trial in range(config.trials):
-        oracle_seed = derive_seed(config.base_seed, trial, _ROLE_ORACLE)
-        target = _random_unit(make_rng(config.base_seed, trial, _ROLE_TARGET), config.dim)
-        marginal = MarginalSampler(kind=config.marginal_kind, dim=config.dim)
+    n_eval = v["eval.samples"]
+    for trial in range(v["trials"]):
+        oracle_seed = derive_seed(seed, trial, _ROLE_ORACLE)
+        target = _random_unit(make_rng(seed, trial, _ROLE_TARGET), config.marginal.dim)
         oracle = MassartOracle(
-            target=target, strategy=config.noise, marginal=marginal, seed=oracle_seed
+            target=target, strategy=config.noise, marginal=config.marginal, seed=oracle_seed
         )
         try:
-            report = learn(oracle, params, psgd_seed=derive_seed(config.base_seed, trial, _ROLE_PSGD))
-        except Exception as exc:  # recorded, run continues
+            report = learn(oracle, params, psgd_seed=derive_seed(seed, trial, _ROLE_PSGD))
+        except _ABORTS as exc:  # recorded, run continues
             aborts += 1
-            rows.append(
-                [trial, oracle_seed] + [math.nan] * 6
-                + [0, 0, math.nan, math.nan, 0, 0, 0, 0, f"abort:{type(exc).__name__}", 0.0]
-            )
+            rows.append([trial, oracle_seed, *[math.nan] * 6, 0, 0, math.nan, math.nan,
+                         0, 0, 0, 0, f"abort:{type(exc).__name__}", 0.0])
             continue
-        eval_marginal = MarginalSampler(
-            kind=config.marginal_kind, dim=config.dim,
-            seed=derive_seed(config.base_seed, trial, _ROLE_EVAL),
-        )
-        dis, dis_se = measure_disagreement(report.chosen, target, eval_marginal, config.eval_samples)
+        eval_marginal = replace(config.marginal, seed=derive_seed(seed, trial, _ROLE_EVAL))
+        dis, dis_se = measure_disagreement(report.chosen, target, eval_marginal, n_eval)
         eval_oracle = oracle.spawn(_ROLE_EVAL)
-        batch = eval_oracle.draw(config.eval_samples)
+        batch = eval_oracle.draw(n_eval)
         noisy_err = float(np.mean(sign_of(batch.xs @ report.chosen) != batch.ys))
-        opt_est, opt_se = eval_oracle.opt_error(config.eval_samples)
+        opt_est, opt_se = eval_oracle.opt_error(n_eval)
         excess = noisy_err - opt_est
-        if config.model == MODEL_MASSART:
-            ok = dis <= config.eps + 3.0 * dis_se
+        if params.model == MODEL_MASSART:
+            ok = dis <= params.eps + 3.0 * dis_se
         else:
-            noisy_se = math.sqrt(max(noisy_err * (1.0 - noisy_err), 0.0) / config.eval_samples)
-            ok = excess <= config.eps + 3.0 * math.hypot(noisy_se, opt_se)
+            noisy_se = math.sqrt(max(noisy_err * (1.0 - noisy_err), 0.0) / n_eval)
+            ok = excess <= params.eps + 3.0 * math.hypot(noisy_se, opt_se)
         passes += int(ok)
         disagreements.append(dis)
         excesses.append(excess)
@@ -434,7 +418,7 @@ def _run_learn(config: ExperimentConfig, out: Path) -> int:
             sched.selection_samples, report.candidate_count, report.chosen_step,
             report.chosen_sign, "pass" if ok else "fail", round(report.wall_time_s, 3),
         ])
-        if config.plots:
+        if v["plots"]:
             k = report.trajectory.iterates.shape[0]
             for j, err in enumerate(report.candidate_errors):
                 curves.append([
@@ -442,42 +426,23 @@ def _run_learn(config: ExperimentConfig, out: Path) -> int:
                     1 if j < k else -1, float(err),
                 ])
     _write_csv(out / "learn.csv", config, header, rows)
-    if config.plots:
+    if v["plots"]:
         _write_csv(out / "learn_curves.csv", config, ["trial", "step", "sign", "selection_error"], curves)
-    done = config.trials - aborts
     _write_summary(out, config, {
-        "trials": config.trials,
+        "trials": v["trials"],
         "passes": passes,
-        "failures": config.trials - passes,
+        "failures": v["trials"] - passes,
         "aborts": aborts,
-        "min_pass": config.min_pass,
+        "min_pass": v["eval.min_pass"],
         "median_disagreement": float(np.median(disagreements)) if disagreements else None,
         "median_excess_error": float(np.median(excesses)) if excesses else None,
-        "completed": done,
+        "completed": v["trials"] - aborts,
     })
-    return EXIT_OK if passes >= config.min_pass else EXIT_TRIAL_FAILURES
-
-
-def _verify_sigma_value(config: ExperimentConfig, strategy: NoiseStrategy) -> float:
-    if isinstance(config.verify_sigma, (int, float)):
-        return float(config.verify_sigma)
-    kind = "strong" if strategy.kind == "strong_massart_max" else config.verify_surrogate
-    param = strategy.c_strong if kind == "strong" else strategy.eta_bound
-    edge = min(min(a, math.pi - a) for a in config.verify_angles if a > 0.0)
-    return lemma_sigma_cap(kind, config.certified_profile().profile, param, edge)
-
-
-def _strategy_variant(config: ExperimentConfig, kind: str) -> NoiseStrategy:
-    base = config.noise
-    return NoiseStrategy(
-        kind=kind, eta_bound=base.eta_bound, c_strong=base.c_strong,
-        band=base.band, hash_seed=base.hash_seed,
-    )
+    return EXIT_OK if passes >= v["eval.min_pass"] else EXIT_TRIAL_FAILURES
 
 
 def _run_verify(config: ExperimentConfig, out: Path) -> int:
-    certified = config.certified_profile()
-    target = _random_unit(make_rng(config.base_seed, _ROLE_TARGET), config.dim)
+    target = _random_unit(make_rng(config.values["base_seed"], _ROLE_TARGET), config.marginal.dim)
     header = [
         "strategy", "lemma", "theta", "sigma", "floor", "estimate", "stderr",
         "samples", "good_mass", "bad_mass", "verdict",
@@ -485,32 +450,20 @@ def _run_verify(config: ExperimentConfig, out: Path) -> int:
     rows: list[list] = []
     failures = 0
     aborts = 0
-    for si, strat_kind in enumerate(config.verify_strategies):
-        strategy = _strategy_variant(config, strat_kind)
-        sigma = _verify_sigma_value(config, strategy)
+    for check in config.checks:
+        kind = check.noise.kind
         try:
-            check = StructuralCheckConfig(
-                surrogate=SurrogateSpec(kind=config.verify_surrogate, sigma=sigma),
-                noise=strategy,
-                marginal=MarginalSampler(kind=config.marginal_kind, dim=config.dim),
-                certified=certified,
-                angles=config.verify_angles,
-                mc_samples=config.verify_mc_samples,
-                confidence_sigmas=config.verify_confidence,
-                seed=derive_seed(config.base_seed, si),
-            )
             report = verify_stationary_gap(check, target)
-        except Exception as exc:
+        except _ABORTS as exc:
             aborts += 1
-            rows.append([strat_kind, "?", math.nan, sigma, math.nan, math.nan,
+            rows.append([kind, "?", math.nan, check.surrogate.sigma, math.nan, math.nan,
                          math.nan, 0, math.nan, math.nan, f"abort:{type(exc).__name__}"])
             continue
         for res in report.results:
             failures += int(not res.passed)
             rows.append([
-                strat_kind, report.lemma_kind, res.theta, res.sigma, res.floor,
-                res.estimate, res.stderr, res.samples, res.good_mass, res.bad_mass,
-                res.verdict,
+                kind, report.lemma_kind, res.theta, res.sigma, res.floor, res.estimate,
+                res.stderr, res.samples, res.good_mass, res.bad_mass, res.verdict,
             ])
     _write_csv(out / "verify.csv", config, header, rows)
     _write_summary(out, config, {
@@ -534,12 +487,13 @@ def _finite_difference_gradient(w, x, y, spec, step):
 
 
 def _run_gradcheck(config: ExperimentConfig, out: Path) -> int:
-    rng = make_rng(config.base_seed, _ROLE_ORACLE)
+    v = config.values
+    rng = make_rng(v["base_seed"], _ROLE_ORACLE)
     header = ["case", "dim", "sigma", "grad_norm", "abs_error", "rel_error", "verdict"]
     rows: list[list] = []
     worst_rel = 0.0
     failures = 0
-    for case in range(config.gradcheck_cases):
+    for case in range(v["gradcheck.cases"]):
         dim = int(rng.integers(2, 21))
         sigma = float(rng.uniform(0.05, 1.0))
         spec = SurrogateSpec(kind="sigmoid", sigma=sigma)
@@ -547,7 +501,7 @@ def _run_gradcheck(config: ExperimentConfig, out: Path) -> int:
         x = rng.standard_normal(dim)
         y = 1.0 if rng.random() < 0.5 else -1.0
         analytic = per_sample_gradient(w, x, y, spec)
-        fd = _finite_difference_gradient(w, x, y, spec, config.gradcheck_step)
+        fd = _finite_difference_gradient(w, x, y, spec, v["gradcheck.step"])
         norm = float(np.linalg.norm(analytic))
         abs_err = float(np.linalg.norm(analytic - fd))
         if norm < 1e-3:
@@ -556,28 +510,25 @@ def _run_gradcheck(config: ExperimentConfig, out: Path) -> int:
         else:
             rel_err = abs_err / norm
             worst_rel = max(worst_rel, rel_err)
-            ok = rel_err <= config.gradcheck_tol
+            ok = rel_err <= v["gradcheck.tol"]
         failures += int(not ok)
         rows.append([case, dim, sigma, norm, abs_err, rel_err, "pass" if ok else "fail"])
     _write_csv(out / "gradcheck.csv", config, header, rows)
     _write_summary(out, config, {
-        "cases": config.gradcheck_cases,
+        "cases": v["gradcheck.cases"],
         "failures": failures,
         "max_rel_error": worst_rel,
-        "tolerance": config.gradcheck_tol,
+        "tolerance": v["gradcheck.tol"],
     })
     return EXIT_OK if failures == 0 else EXIT_TRIAL_FAILURES
 
 
 def _run_bench(config: ExperimentConfig, out: Path) -> int:
-    n = config.bench_samples
-    marginal = MarginalSampler(
-        kind=config.marginal_kind, dim=config.dim, seed=derive_seed(config.base_seed, 0)
-    )
-    target = _random_unit(make_rng(config.base_seed, _ROLE_TARGET), config.dim)
+    n, seed = config.values["bench.samples"], config.values["base_seed"]
+    marginal = replace(config.marginal, seed=derive_seed(seed, 0))
+    target = _random_unit(make_rng(seed, _ROLE_TARGET), marginal.dim)
     oracle = MassartOracle(
-        target=target, strategy=config.noise, marginal=marginal.spawn(1),
-        seed=derive_seed(config.base_seed, 1),
+        target=target, strategy=config.noise, marginal=marginal.spawn(1), seed=derive_seed(seed, 1)
     )
     rows: list[list] = []
 
@@ -603,16 +554,12 @@ def _run_bench(config: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
+_RUNNERS = {"learn": _run_learn, "verify": _run_verify, "gradcheck": _run_gradcheck, "bench": _run_bench}
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment config; returns the process exit code.
 
     Trials execute sequentially, each from its own derived seeds.
     """
-    out = Path(config.out_dir)
-    if config.command == "learn":
-        return _run_learn(config, out)
-    if config.command == "verify":
-        return _run_verify(config, out)
-    if config.command == "gradcheck":
-        return _run_gradcheck(config, out)
-    return _run_bench(config, out)
+    return _RUNNERS[config.values["command"]](config, Path(config.values["out"]))

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .geometry import BoundedProfile
 from .noise import BOUNDED_NOISE_KINDS, MassartOracle
-from .psgd import PsgdConfig, Trajectory, _recorded_steps, psgd_run
+from .psgd import PsgdConfig, Trajectory, psgd_run
 from .rng import STREAM_SELECT
 from .surrogate import SurrogateSpec
 from .verify import lemma_sigma_cap
@@ -103,6 +103,12 @@ class LearnParams:
                 raise ValueError(f"strong regime needs c_strong in (0, 1], got {self.c_strong!r}")
             if self.eta_bound is not None:
                 raise ValueError("strong regime must leave eta_bound unset")
+        for name in ("steps_override", "selection_override"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        if self.record_every < 0:
+            raise ValueError(f"record_every must be non-negative (0 = auto), got {self.record_every!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,13 @@ class Schedule:
 
     @property
     def candidate_count(self) -> int:
-        return 2 * _recorded_steps(self.steps, self.record_every).shape[0]
+        return _candidate_count(self.steps, self.record_every)
+
+
+def _candidate_count(steps: int, record_every: int) -> int:
+    """Recorded iterates of a PSGD run (step 0, every record_every-th step,
+    the last step), each with its negation, counted without listing them."""
+    return 2 * (steps // record_every + 1 + (steps % record_every != 0))
 
 
 def _auto_record_every(steps: int, requested: int) -> int:
@@ -140,7 +152,7 @@ def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq:
         return params.selection_override
     if params.mode == "theoretical":
         return max(2, math.ceil(math.log(steps / params.delta) / gap_sq))
-    candidates = 2 * _recorded_steps(steps, record_every).shape[0]
+    candidates = _candidate_count(steps, record_every)
     return max(2, math.ceil(
         PRACTICAL_SELECTION_SCALE * math.log(candidates / params.delta) / gap_sq
     ))
@@ -266,6 +278,28 @@ class LearnReport:
     wall_time_s: float
 
 
+def plan_learning(
+    params: LearnParams, noise_kind: str, dim: int, psgd_seed: int = 0
+) -> tuple[Schedule, PsgdConfig]:
+    """The schedule and PSGD configuration learn() runs in dimension dim.
+
+    Raises ValueError if params.model cannot learn from noise_kind or PSGD
+    or the surrogate would reject the schedule, and BudgetExceededError if
+    it overruns params.budget. Nothing here depends on the trial, so a
+    caller can check a whole run before its first trial.
+    """
+    if params.model == MODEL_MASSART and noise_kind not in BOUNDED_NOISE_KINDS:
+        raise ValueError(f"model {MODEL_MASSART!r} cannot learn from noise kind {noise_kind!r}")
+    if params.model == MODEL_STRONG and noise_kind != "strong_massart_max":
+        raise ValueError(f"model {MODEL_STRONG!r} needs noise kind 'strong_massart_max', got {noise_kind!r}")
+    sched = schedule_for(params, dim)
+    SurrogateSpec(kind="sigmoid", sigma=sched.sigma)  # validates the width
+    config = PsgdConfig(
+        steps=sched.steps, step_size=sched.step_size, seed=psgd_seed, record_every=sched.record_every
+    )
+    return sched, config
+
+
 # Examples are pulled from the oracle in batches of this size during PSGD,
 # and the selection sample streams through in larger slabs.
 _STREAM_CHUNK = 8192
@@ -281,16 +315,9 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     steps + selection_samples.
     """
     t0 = time.perf_counter()
-    kind = oracle.strategy.kind
-    if params.model == MODEL_MASSART and kind not in BOUNDED_NOISE_KINDS:
-        raise ValueError(f"bounded-regime learner cannot consume strategy kind {kind!r}")
-    if params.model == MODEL_STRONG and kind != "strong_massart_max":
-        raise ValueError(f"strong-regime learner needs strategy strong_massart_max, got {kind!r}")
-
     dim = oracle.marginal.dim
-    sched = schedule_for(params, dim)
+    sched, config = plan_learning(params, oracle.strategy.kind, dim, psgd_seed)
     sigma = sched.sigma
-    spec = SurrogateSpec(kind="sigmoid", sigma=sigma)  # validates the width
 
     def examples():
         while True:
@@ -306,12 +333,6 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
         coef = -y * q / ((1.0 + q) ** 2 * sigma)
         return [xi * coef - wi * (coef * m) for xi, wi in zip(x, w)]
 
-    config = PsgdConfig(
-        steps=sched.steps,
-        step_size=sched.step_size,
-        seed=psgd_seed,
-        record_every=sched.record_every,
-    )
     trajectory = psgd_run(grad_fn, config, dim=dim)
 
     # Positive block first, each block in step order: the first-argmin

@@ -57,8 +57,8 @@ class NoiseStrategy:
             math.isfinite(self.band) and self.band > 0.0
         ):
             raise ValueError(f"boundary_concentrated needs a positive band, got {self.band!r}")
-        if self.kind == "random_measurable" and self.hash_seed < 0:
-            raise ValueError("hash_seed must be non-negative")
+        if self.kind == "random_measurable" and not 0 <= self.hash_seed < 2**64:
+            raise ValueError(f"hash_seed must be a non-negative 64-bit integer, got {self.hash_seed!r}")
 
 
 def _hash_unit_floats(xs: np.ndarray, hash_seed: int) -> np.ndarray:

@@ -29,7 +29,7 @@ def _check_path(base_seed: int, path: tuple[int, ...]) -> None:
     if not isinstance(base_seed, (int, np.integer)):
         raise ValueError(f"base seed must be an integer, got {type(base_seed).__name__}")
     if not 0 <= int(base_seed) <= _MAX_SEED:
-        raise ValueError(f"base seed must fit in 64 bits, got {base_seed}")
+        raise ValueError(f"base seed must be an unsigned 64-bit integer, got {base_seed}")
     for p in path:
         if not isinstance(p, (int, np.integer)) or p < 0:
             raise ValueError(f"substream path components must be non-negative integers, got {p!r}")

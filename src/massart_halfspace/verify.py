@@ -107,21 +107,6 @@ def _check_c(c: float) -> None:
         raise ValueError(f"margin slope must be positive, got {c!r}")
 
 
-def good_bad_decomposition(x2d: np.ndarray, target2d: np.ndarray) -> str:
-    """Region label for a point in the 2-d proof frame where w sits at e2.
-
-    The good region G collects points whose first coordinate agrees in
-    sign with the target label; those points pull the gradient the right
-    way. The boundary goes to the complement by the strict inequality.
-    """
-    x2d = np.asarray(x2d, dtype=np.float64)
-    target2d = np.asarray(target2d, dtype=np.float64)
-    if x2d.shape != (2,) or target2d.shape != (2,):
-        raise ValueError("good_bad_decomposition expects single 2-d points")
-    g = x2d[0] * sign_of(float(target2d @ x2d))
-    return "G" if g > 0.0 else "Gc"
-
-
 @dataclass(frozen=True)
 class StructuralCheckConfig:
     """One structural-floor verification job.

@@ -63,7 +63,7 @@ def _verdict(number: int, name: str, elapsed: float, budget: float, detail: str 
 
 def _run_fixture(name: str, out: Path) -> tuple[int, dict]:
     config = load_config(FIXTURES / name)
-    config = dataclasses.replace(config, out_dir=str(out))
+    config = dataclasses.replace(config, values={**config.values, "out": str(out)})
     code = run(config)
     summary = json.loads((out / "summary.json").read_text())
     return code, summary
@@ -146,8 +146,8 @@ def _check_floor_fixture(number: int, fixture: str, lemma: str, noise_param: flo
     thetas = sorted({float(row[header.index("theta")]) for row in rows})
     assert np.allclose(thetas, ANGLE_GRID, rtol=0, atol=1e-15)
     config = load_config(FIXTURES / fixture)
-    cap = lemma_sigma_cap(lemma, config.certified_profile().profile, noise_param, math.pi / 8)
-    floor = lemma_gradient_floor(lemma, config.certified_profile().profile, noise_param)
+    cap = lemma_sigma_cap(lemma, config.certified.profile, noise_param, math.pi / 8)
+    floor = lemma_gradient_floor(lemma, config.certified.profile, noise_param)
     assert math.isclose(floor, expected_floor, rel_tol=1e-14, abs_tol=0.0)
     for row in rows:
         assert float(row[header.index("floor")]) == floor

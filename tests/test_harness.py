@@ -6,36 +6,43 @@ config-hash format is checked against hand-built sha256 input.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import massart_halfspace
-from massart_halfspace import __version__
+from massart_halfspace import __version__, harness
 from massart_halfspace.cli import main as cli_main
 from massart_halfspace.distributions import MarginalSampler
-from massart_halfspace.errors import ConfigError
+from massart_halfspace.errors import ConfigError, UnderpoweredCheckError
 from massart_halfspace.harness import (
     COMMANDS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TRIAL_FAILURES,
+    SCHEMA,
     SCHEMA_VERSION,
     config_from_mapping,
     config_hash,
     load_config,
     measure_disagreement,
     parse_config_text,
+    read_config,
     run,
 )
 from massart_halfspace.verify import lemma_sigma_cap
@@ -229,34 +236,26 @@ class TestConfigHash:
 class TestConfigFromMapping:
     def test_defaults(self):
         cfg = config_from_mapping({"command": "bench"})
-        assert cfg.command == "bench"
-        assert cfg.trials == 1
-        assert cfg.base_seed == 0
-        assert cfg.plots is False
-        assert cfg.out_dir == "runs"
-        assert cfg.marginal_kind == "standard_gaussian"
-        assert cfg.dim == 10
-        assert cfg.profile_name == "gaussian_analytic"
+        assert cfg.values == {
+            "command": "bench", "trials": 1, "base_seed": 0, "out": "runs", "plots": False,
+            "marginal.kind": "standard_gaussian", "marginal.dim": 10, "profile": "gaussian_analytic",
+            "noise.kind": "none", "noise.eta_bound": 0.0, "noise.c_strong": 1.0,
+            "noise.band": 0.0, "noise.hash_seed": 0,
+            "learn.model": "massart", "learn.mode": "practical", "learn.eps": 0.1,
+            "learn.delta": 0.1, "learn.budget": None, "learn.record_every": 0,
+            "learn.steps": None, "learn.step_size": None, "learn.sigma": None,
+            "learn.selection": None,
+            "eval.samples": 100_000, "eval.min_pass": 1,
+            "verify.surrogate": "sigmoid", "verify.sigma": "cap",
+            "verify.angles": (0.7853981633974483,), "verify.strategies": ("none",),
+            "verify.mc_samples": 1 << 15, "verify.confidence_sigmas": 3.0,
+            "gradcheck.cases": 200, "gradcheck.step": 1e-6, "gradcheck.tol": 1e-5,
+            "bench.samples": 200_000,
+        }
         assert cfg.noise.kind == "none"
-        assert cfg.model == "massart"
-        assert cfg.mode == "practical"
-        assert cfg.eps == 0.1
-        assert cfg.delta == 0.1
-        assert cfg.budget is None
-        assert cfg.record_every == 0
-        assert cfg.steps_override is None
-        assert cfg.eval_samples == 100_000
-        assert cfg.min_pass == 1
-        assert cfg.verify_surrogate == "sigmoid"
-        assert cfg.verify_sigma == "cap"
-        assert cfg.verify_angles == (0.7853981633974483,)
-        assert cfg.verify_strategies == ("none",)
-        assert cfg.verify_mc_samples == 1 << 15
-        assert cfg.verify_confidence == 3.0
-        assert cfg.gradcheck_cases == 200
-        assert cfg.gradcheck_step == 1e-6
-        assert cfg.gradcheck_tol == 1e-5
-        assert cfg.bench_samples == 200_000
+        assert (cfg.marginal.kind, cfg.marginal.dim) == ("standard_gaussian", 10)
+        assert cfg.params is None
+        assert cfg.checks == ()
 
     def test_unknown_field_rejected_by_name(self):
         with pytest.raises(ConfigError, match="learn.epsx"):
@@ -285,14 +284,14 @@ class TestConfigFromMapping:
             cfg = config_from_mapping(
                 {"command": "bench", "marginal.kind": kind, "marginal.dim": 2}
             )
-            assert cfg.profile_name == profile
+            assert cfg.values["profile"] == profile
 
     def test_scaled_sphere_needs_explicit_profile(self):
         base = {"command": "bench", "marginal.kind": "uniform_sphere_scaled"}
         with pytest.raises(ConfigError, match="no automatic profile"):
             config_from_mapping(base)
         cfg = config_from_mapping({**base, "profile": "logconcave"})
-        assert cfg.profile_name == "logconcave"
+        assert cfg.values["profile"] == "logconcave"
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigError, match="profile"):
@@ -314,32 +313,35 @@ class TestConfigFromMapping:
                 "noise.c_strong": 0.5,
             }
         )
-        assert strong.model == "strong_massart"
+        assert strong.params.model == "strong_massart"
         bounded = config_from_mapping(
             {"command": "learn", "noise.kind": "constant", "noise.eta_bound": 0.2}
         )
-        assert bounded.model == "massart"
+        assert bounded.params.model == "massart"
         with pytest.raises(ConfigError, match="learn.model"):
             config_from_mapping({"command": "learn", "learn.model": "agnostic"})
 
     def test_min_pass_defaults_to_ninety_percent_ceiling(self):
-        assert config_from_mapping({"command": "learn", "trials": 10}).min_pass == 9
-        assert config_from_mapping({"command": "learn", "trials": 4}).min_pass == 4
+        assert config_from_mapping({"command": "learn", "trials": 10}).values["eval.min_pass"] == 9
+        assert config_from_mapping({"command": "learn", "trials": 4}).values["eval.min_pass"] == 4
         cfg = config_from_mapping({"command": "learn", "trials": 10, "eval.min_pass": 7})
-        assert cfg.min_pass == 7
+        assert cfg.values["eval.min_pass"] == 7
 
     def test_verify_sigma_accepts_cap_or_number(self):
-        assert config_from_mapping({"command": "verify"}).verify_sigma == "cap"
-        cfg = config_from_mapping({"command": "verify", "verify.sigma": 0.01})
-        assert cfg.verify_sigma == 0.01
+        assert config_from_mapping({"command": "verify"}).values["verify.sigma"] == "cap"
+        # below the sigmoid cap 0.00853 of the gaussian profile at pi/4
+        cfg = config_from_mapping({"command": "verify", "verify.sigma": 0.005})
+        assert cfg.values["verify.sigma"] == 0.005
+        assert cfg.checks[0].surrogate.sigma == 0.005
         with pytest.raises(ConfigError, match="verify.sigma"):
             config_from_mapping({"command": "verify", "verify.sigma": "big"})
 
     def test_verify_angles_single_and_list(self):
         single = config_from_mapping({"command": "verify", "verify.angles": 0.5})
-        assert single.verify_angles == (0.5,)
+        assert single.values["verify.angles"] == (0.5,)
         many = config_from_mapping({"command": "verify", "verify.angles": "0.5, 1.0 ,1.5"})
-        assert many.verify_angles == (0.5, 1.0, 1.5)
+        assert many.values["verify.angles"] == (0.5, 1.0, 1.5)
+        assert many.checks[0].angles == (0.5, 1.0, 1.5)
         with pytest.raises(ConfigError, match="verify.angles"):
             config_from_mapping({"command": "verify", "verify.angles": "0.5,wide"})
 
@@ -350,7 +352,7 @@ class TestConfigFromMapping:
 
     def test_certified_profile_is_constructed(self):
         cfg = config_from_mapping({"command": "bench", "marginal.kind": "uniform_disk_2d", "marginal.dim": 2})
-        certified = cfg.certified_profile()
+        certified = cfg.certified
         assert certified.profile.density_bound == pytest.approx(4.0 * math.pi)
         assert certified.provenance == "analytic"
 
@@ -362,13 +364,13 @@ class TestLoadConfig:
 
     def test_loads_line_fixture(self):
         cfg = load_config(FIXTURES / "learn_massart_gaussian.cfg")
-        assert cfg.command == "learn"
-        assert cfg.trials == 10
-        assert cfg.dim == 10
+        assert cfg.values["command"] == "learn"
+        assert cfg.values["trials"] == 10
+        assert cfg.marginal.dim == 10
         assert cfg.noise.kind == "boundary_concentrated"
         assert cfg.noise.eta_bound == 0.4
-        assert cfg.model == "massart"
-        assert cfg.min_pass == 9
+        assert cfg.params.model == "massart"
+        assert cfg.values["eval.min_pass"] == 9
 
 
 # --------------------------------------------------------------------------
@@ -481,30 +483,30 @@ class TestRunLearn:
             assert 0.0 <= float(row[3]) <= 1.0
 
     def test_trial_abort_is_recorded_not_raised(self, tmp_path):
-        # A bounded-noise learner pointed at the strong-noise adversary
-        # fails inside each trial; the run records aborts and exits 2.
-        flat = _flat(
-            LEARN_FLAT,
-            tmp_path,
-            **{
-                "noise.kind": "strong_massart_max",
-                "noise.c_strong": 0.5,
-                "learn.model": "massart",
-            },
-        )
-        del flat["noise.eta_bound"]
-        cfg = config_from_mapping(flat)
+        # A step size of 1e308 overflows the first PSGD step of each trial;
+        # the run records each divergence as an abort and exits 2.
+        cfg = config_from_mapping(_flat(LEARN_FLAT, tmp_path, **{"learn.step_size": 1e308}))
         assert run(cfg) == EXIT_TRIAL_FAILURES
         _, header, rows = _read_artifact(tmp_path / "learn.csv")
         assert len(rows) == 2
         for row in rows:
             assert len(row) == len(header)
-            assert row[16] == "abort:ValueError"
+            assert row[16] == "abort:PsgdDivergenceError"
             assert row[2] == "nan"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["aborts"] == 2
         assert summary["completed"] == 0
         assert summary["median_disagreement"] is None
+
+    def test_other_trial_exception_propagates(self, tmp_path, monkeypatch):
+        # Only divergence and an underpowered check become abort rows; any
+        # other exception inside a trial is a fault and reaches the caller.
+        def broken_learn(oracle, params, psgd_seed=0):
+            raise KeyError("fault inside a trial")
+
+        monkeypatch.setattr(harness, "learn", broken_learn)
+        with pytest.raises(KeyError, match="fault inside a trial"):
+            run(config_from_mapping(_flat(LEARN_FLAT, tmp_path)))
 
     def test_min_pass_gate_controls_exit_code(self, tmp_path):
         # Ten steps leave trial 1 short of eps, so one of the two trials passes.
@@ -560,7 +562,7 @@ class TestRunVerify:
         assert row[1] == "sigmoid"
         # sigma resolves to the cap at the window edge (the lone angle).
         expected_sigma = lemma_sigma_cap(
-            "sigmoid", cfg.certified_profile().profile, 0.3, math.pi / 2
+            "sigmoid", cfg.certified.profile, 0.3, math.pi / 2
         )
         assert float(row[3]) == expected_sigma
         assert float(row[5]) >= float(row[4])  # estimate clears the floor
@@ -597,12 +599,26 @@ class TestRunVerify:
         }
         assert all(row[10] == "pass" for row in rows)
 
-    def test_oversized_sigma_aborts_with_exit_two(self, tmp_path):
-        flat = _flat(VERIFY_FLAT, tmp_path, **{"verify.sigma": 0.5})
-        assert run(config_from_mapping(flat)) == EXIT_TRIAL_FAILURES
+    def test_oversized_sigma_is_a_config_error(self, tmp_path, capsys):
+        # sigma 0.5 is far above the sigmoid cap on the disk: the check is
+        # refused when the config is read, before any verify.csv exists.
+        out = tmp_path / "out"
+        cfg_path = _write_config(tmp_path / "v.cfg", {**VERIFY_FLAT, "verify.sigma": 0.5})
+        assert cli_main(["verify", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "sigma 0.5 exceeds" in err
+        assert not (out / "verify.csv").exists()
+
+    def test_underpowered_check_is_an_abort_row(self, tmp_path, monkeypatch):
+        def underpowered(check, target):
+            raise UnderpoweredCheckError("stderr still above target at the sample cap")
+
+        monkeypatch.setattr(harness, "verify_stationary_gap", underpowered)
+        assert run(config_from_mapping(_flat(VERIFY_FLAT, tmp_path))) == EXIT_TRIAL_FAILURES
         _, _, rows = _read_artifact(tmp_path / "verify.csv")
         assert len(rows) == 1
-        assert rows[0][10] == "abort:ValueError"
+        assert rows[0][0] == "constant"
+        assert rows[0][10] == "abort:UnderpoweredCheckError"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["aborts"] == 1
         assert summary["failures"] == 0
@@ -711,6 +727,46 @@ def _run_console_gradcheck(command: list, tmp_path: Path, env=None) -> None:
     assert (tmp_path / "out" / "gradcheck.csv").exists()
 
 
+GRADCHECK_FLAT = {"command": "gradcheck", "gradcheck.cases": 5}
+BENCH_FLAT = {"command": "bench", "bench.samples": 5000, "marginal.dim": 4}
+
+# Malformed configs that must be rejected before any output. All but the
+# first four once ended in a raw traceback, in abort rows with exit 2, or in
+# a run that exited 0 without checking its input.
+MALFORMED = [
+    (LEARN_FLAT, {"eval.min_pass": 0}),
+    (LEARN_FLAT, {"eval.min_pass": 5}),
+    (LEARN_FLAT, {"learn.mode": "fast"}),
+    (LEARN_FLAT, {"base_seed": -1}),
+    (LEARN_FLAT, {"eval.samples": 10}),
+    (VERIFY_FLAT, {"verify.angles": 0}),
+    (VERIFY_FLAT, {"verify.surrogate": "hinge"}),
+    (VERIFY_FLAT, {"verify.strategies": "bogus"}),
+    (LEARN_FLAT, {"learn.eps": 2}),
+    (LEARN_FLAT, {"learn.delta": 0}),
+    (GRADCHECK_FLAT, {"gradcheck.step": 0}),
+    (LEARN_FLAT, {"learn.budget": "lots"}),
+    (LEARN_FLAT, {"learn.budget": 100}),
+    (LEARN_FLAT, {"learn.steps": 1e3}),
+    (LEARN_FLAT, {"learn.record_every": -3}),
+    (LEARN_FLAT, {"learn.step_size": -1}),
+    (LEARN_FLAT, {"learn.sigma": 0}),
+    (LEARN_FLAT, {"learn.model": "strong_massart"}),
+    (VERIFY_FLAT, {"marginal.dim": 3}),
+    (VERIFY_FLAT, {"verify.mc_samples": 0}),
+    (VERIFY_FLAT, {"verify.confidence_sigmas": -1}),
+    (LEARN_FLAT, {"learn.selection": 0}),
+    (GRADCHECK_FLAT, {"gradcheck.cases": -5}),
+    (BENCH_FLAT, {"bench.samples": 0}),
+    (LEARN_FLAT, {"noise.hash_seed": 1.5}),
+    (LEARN_FLAT, {"plots": "maybe"}),
+]
+MALFORMED_IDS = [
+    "min_pass_below_one", "min_pass_above_trials", "unknown_mode", "negative_seed",
+    *(f"{key}={value}" for _, override in MALFORMED[4:] for key, value in override.items()),
+]
+
+
 class TestCli:
     def test_bench_roundtrip(self, tmp_path):
         cfg_path = _write_config(
@@ -768,22 +824,16 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "64-bit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "override",
-        [
-            {"eval.min_pass": 0},
-            {"eval.min_pass": 5},
-            {"learn.mode": "fast"},
-            {"base_seed": -1},
-        ],
-        ids=["min_pass_below_one", "min_pass_above_trials", "unknown_mode", "negative_seed"],
-    )
-    def test_malformed_config_rejected_before_any_output(self, tmp_path, capsys, override):
-        cfg_path = _write_config(tmp_path / "c.cfg", {**LEARN_FLAT, **override})
+    @pytest.mark.parametrize("base, override", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_config_rejected_before_any_output(self, tmp_path, capsys, base, override):
+        cfg_path = _write_config(tmp_path / "c.cfg", {**base, **override})
         out = tmp_path / "out"
-        code = cli_main(["learn", "--config", str(cfg_path), "--out", str(out)])
+        code = cli_main([base["command"], "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        assert err.startswith("config error:")
+        # the message names the offending key, or at least its last part
+        assert any(key.rsplit(".", 1)[-1] in err for key in override), err
         assert not out.exists()
 
     def test_threads_flag_validated(self, tmp_path, capsys):
@@ -822,6 +872,75 @@ class TestCli:
     )
     def test_installed_console_script_runs(self, tmp_path):
         _run_console_gradcheck([shutil.which("massart-halfspace")], tmp_path)
+
+
+# The CLI supplies `command` and `out` itself, so those two are not mutated.
+MUTABLE_KEYS = sorted(set(SCHEMA) - {"command", "out"})
+# Values that are the wrong type for some keys and out of range for others.
+ODD_VALUES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "cap", "auto", "none", "0.5,wide", "nan", "1e999", "a,,b"]),
+    st.text(alphabet="abe01.,- ", max_size=8),
+)
+
+
+class TestMalformedFixtures:
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.iterdir()), ids=lambda p: p.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_key_change_is_accepted_or_a_config_error(self, fixture, data):
+        # Drop one key of a fixture, or set it to an odd value. Reading the
+        # config must then succeed or raise ConfigError, and where it raises,
+        # the CLI must exit 1 with `config error:` before creating any output.
+        flat = read_config(fixture)
+        key = data.draw(st.sampled_from(MUTABLE_KEYS))
+        if key in flat and data.draw(st.booleans()):
+            del flat[key]
+        else:
+            flat[key] = data.draw(ODD_VALUES)
+        try:
+            config_from_mapping(flat)
+            return  # accepted; no trial runs here
+        except ConfigError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            path.write_text(json.dumps(flat))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli_main([flat["command"], "--config", str(path), "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert err.getvalue().startswith("config error:")
+            assert not out.exists()
+
+
+def _readme_key_rows() -> dict:
+    """Key -> (type, default, range) cells of the table under README's `### Keys`."""
+    section = (REPO_ROOT / "README.md").read_text().split("### Keys", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+            rows[key.strip("`")] = cells
+    return rows
+
+
+class TestReadmeKeys:
+    def test_keys_section_names_exactly_the_schema(self):
+        rows = _readme_key_rows()
+        assert sorted(rows) == sorted(SCHEMA)
+        for key, (type_cell, default_cell, _) in rows.items():
+            spec = SCHEMA[key]
+            assert type_cell.split(" or ")[0] == spec.type, key
+            if isinstance(spec.default, bool):
+                assert default_cell == str(spec.default).lower(), key
+            elif isinstance(spec.default, tuple):
+                assert default_cell == ",".join(map(str, spec.default)), key
+            elif spec.default is not None:
+                assert default_cell.strip("`") == str(spec.default), key
 
 
 class TestExitCodes:

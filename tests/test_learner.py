@@ -59,6 +59,12 @@ class TestParamsValidation:
             _massart_params(c_strong=0.5)
         _massart_params(eta_bound=0.0)
 
+    def test_overrides_validated(self):
+        for bad in ({"steps_override": 0}, {"selection_override": 0}, {"record_every": -1}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                _massart_params(**bad)
+        _massart_params(steps_override=1, selection_override=1, record_every=0)
+
     def test_strong_regime_needs_slope_only(self):
         with pytest.raises(ValueError):
             LearnParams(model="strong_massart", eps=0.1, profile=DISK)
@@ -359,6 +365,12 @@ class TestLearnPipeline:
         )
         with pytest.raises(ValueError):
             learn(bounded_oracle, strong_params)
+
+    def test_zero_selection_sample_rejected(self):
+        # n = 0 would divide by zero and pick candidate 0 from all-NaN errors
+        oracle, _, _ = _small_learn_setup(eta_bound=0.2)
+        with pytest.raises(ValueError, match="selection_override"):
+            learn(oracle, _massart_params(eta_bound=0.2, selection_override=0))
 
     def test_strong_regime_runs(self):
         strategy = NoiseStrategy(kind="strong_massart_max", c_strong=0.5)

@@ -13,7 +13,6 @@ from massart_halfspace import (
     UnderpoweredCheckError,
     disk_profile,
     gaussian_profile,
-    good_bad_decomposition,
     lemma_gradient_floor,
     lemma_sigma_cap,
     population_estimates,
@@ -124,27 +123,6 @@ class TestGradientFloor:
             lemma_gradient_floor("hinge", DISK.profile, 0.3)
         with pytest.raises(ValueError):
             lemma_gradient_floor("ramp", DISK.profile, -0.1)
-
-
-class TestGoodBadDecomposition:
-    def test_first_axis_boundary_goes_to_complement(self):
-        # x1 = 0 fails the strict inequality no matter the label sign
-        assert good_bad_decomposition(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == "Gc"
-
-    def test_rotated_target_hand_case(self):
-        # target at angle pi/4 from the vertical axis: (-sqrt(2)/2, sqrt(2)/2);
-        # at x=(-1,1) the target margin is positive, so x1*sign = -1
-        t = np.array([-math.sqrt(0.5), math.sqrt(0.5)])
-        assert good_bad_decomposition(np.array([-1.0, 1.0]), t) == "Gc"
-
-    def test_agreeing_point_is_good(self):
-        t = np.array([0.05, 1.0])
-        t /= np.linalg.norm(t)
-        assert good_bad_decomposition(np.array([1.0, 1.0]), t) == "G"
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            good_bad_decomposition(np.zeros(3), np.array([0.0, 1.0]))
 
 
 class TestConfigValidation:
