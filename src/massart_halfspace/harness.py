@@ -36,7 +36,7 @@ from . import __version__
 from .distributions import PROFILE_BUILDERS, SAMPLER_KINDS, CertifiedProfile, MarginalSampler, plane_density
 from .errors import BudgetExceededError, ConfigError, PsgdDivergenceError, UnderpoweredCheckError
 from .geometry import require_unit, sign_of
-from .learner import MODEL_MASSART, MODEL_STRONG, MODES, LearnParams, learn, plan_learning
+from .learner import MODEL_MASSART, MODEL_STRONG, MODES, LearnParams, learn, plan_learning, select_hypothesis
 from .noise import NOISE_KINDS, MassartOracle, NoiseStrategy
 from .rng import derive_seed, make_rng
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
@@ -325,16 +325,16 @@ def measure_disagreement(
 ) -> tuple[float, float]:
     """Fresh-sample estimate of Pr[sign<h,x> != sign<target,x>].
 
-    Returns (estimate, binomial stderr). Identical h and target give an
-    exact zero because the dot products coincide bitwise.
+    Returns (estimate, binomial stderr), counted by select_hypothesis against
+    the target's labels. Identical h and target give an exact zero where BLAS
+    rounds `xs @ target` and `h @ xs.T` alike, as OpenBLAS does.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 evaluation samples, got {n}")
     h = require_unit(h, "hypothesis")
     target = require_unit(target, "target")
     xs = marginal.sample(n)
-    disagree = sign_of(xs @ h) != sign_of(xs @ target)
-    p = float(np.mean(disagree))
+    p = select_hypothesis(h[None, :], xs, sign_of(xs @ target))[1]
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
@@ -367,78 +367,88 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 # any other exception is a fault and propagates.
 _ABORTS = (PsgdDivergenceError, UnderpoweredCheckError)
 
+# learn.csv's columns in order, each with the value an aborted trial writes
+# (None where the trial supplies it).
+LEARN_COLUMNS = {
+    "trial": None, "seed": None, "disagreement": math.nan, "disagreement_stderr": math.nan,
+    "noisy_error": math.nan, "opt_estimate": math.nan, "opt_stderr": math.nan,
+    "excess_error": math.nan, "samples_used": 0, "steps": 0, "step_size": math.nan,
+    "sigma": math.nan, "selection_samples": 0, "candidate_count": 0, "chosen_step": 0,
+    "chosen_sign": 0, "verdict": None, "wall_time_s": 0.0,
+}
+
+
+def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]]:
+    """One learn trial, a pure function of the config and the trial index:
+    its learn.csv row keyed by column, and its learn_curves.csv rows."""
+    seed, params, n_eval = config.values["base_seed"], config.params, config.values["eval.samples"]
+    oracle_seed = derive_seed(seed, trial, _ROLE_ORACLE)
+    target = _random_unit(make_rng(seed, trial, _ROLE_TARGET), config.marginal.dim)
+    oracle = MassartOracle(target=target, strategy=config.noise, marginal=config.marginal, seed=oracle_seed)
+    try:
+        report = learn(oracle, params, psgd_seed=derive_seed(seed, trial, _ROLE_PSGD))
+    except _ABORTS as exc:  # recorded, run continues
+        return {**LEARN_COLUMNS, "trial": trial, "seed": oracle_seed, "verdict": f"abort:{type(exc).__name__}"}, []
+    eval_marginal = replace(config.marginal, seed=derive_seed(seed, trial, _ROLE_EVAL))
+    dis, dis_se = measure_disagreement(report.chosen, target, eval_marginal, n_eval)
+    eval_oracle = oracle.spawn(_ROLE_EVAL)
+    batch = eval_oracle.draw(n_eval)
+    noisy_err = select_hypothesis(report.chosen[None, :], batch.xs, batch.ys)[1]
+    opt_est, opt_se = eval_oracle.opt_error(n_eval)
+    excess = noisy_err - opt_est
+    if params.model == MODEL_MASSART:
+        ok = dis <= params.eps + 3.0 * dis_se
+    else:
+        noisy_se = math.sqrt(max(noisy_err * (1.0 - noisy_err), 0.0) / n_eval)
+        ok = excess <= params.eps + 3.0 * math.hypot(noisy_se, opt_se)
+    sched, recorded = report.schedule, report.trajectory.step_indices
+    row = {
+        "trial": trial, "seed": oracle_seed, "disagreement": dis, "disagreement_stderr": dis_se,
+        "noisy_error": noisy_err, "opt_estimate": opt_est, "opt_stderr": opt_se,
+        "excess_error": excess, "samples_used": report.samples_used, "steps": sched.steps,
+        "step_size": sched.step_size, "sigma": sched.sigma, "selection_samples": sched.selection_samples,
+        "candidate_count": report.candidate_count, "chosen_step": report.chosen_step,
+        "chosen_sign": report.chosen_sign, "verdict": "pass" if ok else "fail",
+        "wall_time_s": round(report.wall_time_s, 3),
+    }
+    # candidates are the recorded iterates, then their negations
+    curves = [[trial, int(recorded[j % len(recorded)]), 1 if j < len(recorded) else -1, float(err)]
+              for j, err in enumerate(report.candidate_errors)]
+    return row, curves
+
 
 def _run_learn(config: ExperimentConfig, out: Path) -> int:
-    v, params, seed = config.values, config.params, config.values["base_seed"]
-    header = [
-        "trial", "seed", "disagreement", "disagreement_stderr", "noisy_error",
-        "opt_estimate", "opt_stderr", "excess_error", "samples_used", "steps",
-        "step_size", "sigma", "selection_samples", "candidate_count",
-        "chosen_step", "chosen_sign", "verdict", "wall_time_s",
-    ]
-    rows: list[list] = []
-    curves: list[list] = []
-    passes = 0
-    aborts = 0
-    disagreements: list[float] = []
-    excesses: list[float] = []
-    n_eval = v["eval.samples"]
-    for trial in range(v["trials"]):
-        oracle_seed = derive_seed(seed, trial, _ROLE_ORACLE)
-        target = _random_unit(make_rng(seed, trial, _ROLE_TARGET), config.marginal.dim)
-        oracle = MassartOracle(
-            target=target, strategy=config.noise, marginal=config.marginal, seed=oracle_seed
-        )
-        try:
-            report = learn(oracle, params, psgd_seed=derive_seed(seed, trial, _ROLE_PSGD))
-        except _ABORTS as exc:  # recorded, run continues
-            aborts += 1
-            rows.append([trial, oracle_seed, *[math.nan] * 6, 0, 0, math.nan, math.nan,
-                         0, 0, 0, 0, f"abort:{type(exc).__name__}", 0.0])
-            continue
-        eval_marginal = replace(config.marginal, seed=derive_seed(seed, trial, _ROLE_EVAL))
-        dis, dis_se = measure_disagreement(report.chosen, target, eval_marginal, n_eval)
-        eval_oracle = oracle.spawn(_ROLE_EVAL)
-        batch = eval_oracle.draw(n_eval)
-        noisy_err = float(np.mean(sign_of(batch.xs @ report.chosen) != batch.ys))
-        opt_est, opt_se = eval_oracle.opt_error(n_eval)
-        excess = noisy_err - opt_est
-        if params.model == MODEL_MASSART:
-            ok = dis <= params.eps + 3.0 * dis_se
-        else:
-            noisy_se = math.sqrt(max(noisy_err * (1.0 - noisy_err), 0.0) / n_eval)
-            ok = excess <= params.eps + 3.0 * math.hypot(noisy_se, opt_se)
-        passes += int(ok)
-        disagreements.append(dis)
-        excesses.append(excess)
-        sched = report.schedule
-        rows.append([
-            trial, oracle_seed, dis, dis_se, noisy_err, opt_est, opt_se, excess,
-            report.samples_used, sched.steps, sched.step_size, sched.sigma,
-            sched.selection_samples, report.candidate_count, report.chosen_step,
-            report.chosen_sign, "pass" if ok else "fail", round(report.wall_time_s, 3),
-        ])
-        if v["plots"]:
-            k = report.trajectory.iterates.shape[0]
-            for j, err in enumerate(report.candidate_errors):
-                curves.append([
-                    trial, int(report.trajectory.step_indices[j % k]),
-                    1 if j < k else -1, float(err),
-                ])
-    _write_csv(out / "learn.csv", config, header, rows)
+    v = config.values
+    rows, curves = zip(*(_learn_trial(config, trial) for trial in range(v["trials"])))
+    _write_csv(out / "learn.csv", config, list(LEARN_COLUMNS), [[row[c] for c in LEARN_COLUMNS] for row in rows])
     if v["plots"]:
-        _write_csv(out / "learn_curves.csv", config, ["trial", "step", "sign", "selection_error"], curves)
+        _write_csv(out / "learn_curves.csv", config, ["trial", "step", "sign", "selection_error"],
+                   [curve for trial_curves in curves for curve in trial_curves])
+    done = [row for row in rows if not row["verdict"].startswith("abort:")]
+    passes = sum(row["verdict"] == "pass" for row in done)
     _write_summary(out, config, {
         "trials": v["trials"],
         "passes": passes,
         "failures": v["trials"] - passes,
-        "aborts": aborts,
+        "aborts": v["trials"] - len(done),
         "min_pass": v["eval.min_pass"],
-        "median_disagreement": float(np.median(disagreements)) if disagreements else None,
-        "median_excess_error": float(np.median(excesses)) if excesses else None,
-        "completed": v["trials"] - aborts,
+        "median_disagreement": float(np.median([row["disagreement"] for row in done])) if done else None,
+        "median_excess_error": float(np.median([row["excess_error"] for row in done])) if done else None,
+        "completed": len(done),
     })
     return EXIT_OK if passes >= v["eval.min_pass"] else EXIT_TRIAL_FAILURES
+
+
+def _verify_check(check: StructuralCheckConfig, target: np.ndarray) -> list[list]:
+    """The verify.csv rows of one check: one per angle, or one abort row."""
+    kind = check.noise.kind
+    try:
+        report = verify_stationary_gap(check, target)
+    except _ABORTS as exc:
+        return [[kind, "?", math.nan, check.surrogate.sigma, math.nan, math.nan,
+                 math.nan, 0, math.nan, math.nan, f"abort:{type(exc).__name__}"]]
+    return [[kind, report.lemma_kind, res.theta, res.sigma, res.floor, res.estimate,
+             res.stderr, res.samples, res.good_mass, res.bad_mass, res.verdict] for res in report.results]
 
 
 def _run_verify(config: ExperimentConfig, out: Path) -> int:
@@ -447,32 +457,18 @@ def _run_verify(config: ExperimentConfig, out: Path) -> int:
         "strategy", "lemma", "theta", "sigma", "floor", "estimate", "stderr",
         "samples", "good_mass", "bad_mass", "verdict",
     ]
-    rows: list[list] = []
-    failures = 0
-    aborts = 0
-    for check in config.checks:
-        kind = check.noise.kind
-        try:
-            report = verify_stationary_gap(check, target)
-        except _ABORTS as exc:
-            aborts += 1
-            rows.append([kind, "?", math.nan, check.surrogate.sigma, math.nan, math.nan,
-                         math.nan, 0, math.nan, math.nan, f"abort:{type(exc).__name__}"])
-            continue
-        for res in report.results:
-            failures += int(not res.passed)
-            rows.append([
-                kind, report.lemma_kind, res.theta, res.sigma, res.floor, res.estimate,
-                res.stderr, res.samples, res.good_mass, res.bad_mass, res.verdict,
-            ])
+    rows = [row for check in config.checks for row in _verify_check(check, target)]
     _write_csv(out / "verify.csv", config, header, rows)
+    verdicts = [row[-1] for row in rows]
+    passes = verdicts.count("pass")
+    failures = verdicts.count("fail")
     _write_summary(out, config, {
         "rows": len(rows),
         "failures": failures,
-        "aborts": aborts,
-        "passes": len(rows) - failures - aborts,
+        "aborts": len(rows) - passes - failures,
+        "passes": passes,
     })
-    return EXIT_OK if failures == 0 and aborts == 0 else EXIT_TRIAL_FAILURES
+    return EXIT_OK if passes == len(rows) else EXIT_TRIAL_FAILURES
 
 
 def _finite_difference_gradient(w, x, y, spec, step):

@@ -169,41 +169,44 @@ def schedule_for(params: LearnParams, dim: int) -> Schedule:
     # scales the target angle and the selection resolution, and the
     # hidden-constant factors C1(U, R), C2(U, R) of the theoretical schedule.
     if params.model == MODEL_MASSART:
-        cap_kind, cap_param, power = "sigmoid", params.eta_bound, 10
+        cap_kind, cap_param, power, gap_key = "sigmoid", params.eta_bound, 10, "eta_bound"
         gap = separation = 1.0 - 2.0 * params.eta_bound
         c1, c2 = (U / R) ** 12, R / U**2
     else:
-        cap_kind, cap_param, power = "strong", params.c_strong, 6
+        cap_kind, cap_param, power, gap_key = "strong", params.c_strong, 6, "c_strong"
         gap, separation = params.c_strong, 1.0
         c1, c2 = U**12 / R**18, R**1.5 / U**2
     theoretical = params.mode == "theoretical"
     # theoretical: half the budget to optimization, half to selection
     eps = params.eps / 2.0 if theoretical else params.eps
-    t = float(prof.tail_radius(eps / 2.0))
-    theta_target = eps * separation / (U * t**2)
-    sigma_cap = lemma_sigma_cap(cap_kind, prof, cap_param, theta_target)
-    if theoretical:
-        steps = int(math.ceil(c1 * dim * t**8 / (eps**4 * gap**power) * math.log(1.0 / params.delta)))
-        sigma = min(c2 * math.sqrt(gap) * eps / t**2, sigma_cap)
-        beta = c2**2 * dim * gap**3 * eps**2 / (t**4 * math.sqrt(steps))
-    else:
-        steps = min(PRACTICAL_STEPS_CAP, int(math.ceil(PRACTICAL_STEPS_SCALE * dim / (eps**2 * gap**2))))
-        sigma = PRACTICAL_SIGMA
-        beta = 1.0 / math.sqrt(steps)
-
-    if params.steps_override is not None:
-        steps = params.steps_override
-    _check_budget(steps, params.budget)
-    record_every = _auto_record_every(steps, params.record_every)
-    return Schedule(
-        steps=steps,
-        step_size=params.step_size_override if params.step_size_override is not None else beta,
-        sigma=params.sigma_override if params.sigma_override is not None else sigma,
-        selection_samples=_selection_count(params, steps, record_every, (eps * separation) ** 2),
-        record_every=record_every,
-        theta_target=theta_target,
-        sigma_cap=sigma_cap,
-    )
+    try:
+        t = float(prof.tail_radius(eps / 2.0))
+        theta_target = eps * separation / (U * t**2)
+        sigma_cap = lemma_sigma_cap(cap_kind, prof, cap_param, theta_target)
+        if theoretical:
+            steps = int(math.ceil(c1 * dim * t**8 / (eps**4 * gap**power) * math.log(1.0 / params.delta)))
+            sigma = min(c2 * math.sqrt(gap) * eps / t**2, sigma_cap)
+            beta = c2**2 * dim * gap**3 * eps**2 / (t**4 * math.sqrt(steps))
+        else:
+            steps = min(PRACTICAL_STEPS_CAP, int(math.ceil(PRACTICAL_STEPS_SCALE * dim / (eps**2 * gap**2))))
+            sigma = PRACTICAL_SIGMA
+            beta = 1.0 / math.sqrt(steps)
+        if params.steps_override is not None:
+            steps = params.steps_override
+        _check_budget(steps, params.budget)
+        record_every = _auto_record_every(steps, params.record_every)
+        return Schedule(
+            steps=steps,
+            step_size=params.step_size_override if params.step_size_override is not None else beta,
+            sigma=params.sigma_override if params.sigma_override is not None else sigma,
+            selection_samples=_selection_count(params, steps, record_every, (eps * separation) ** 2),
+            record_every=record_every,
+            theta_target=theta_target,
+            sigma_cap=sigma_cap,
+        )
+    except ArithmeticError:  # a resolution that underflows to 0, or a count past the float range
+        named = ", ".join(f"{key} = {getattr(params, key)!r}" for key in ("eps", gap_key, "delta"))
+        raise ValueError(f"{named} give a {params.mode} schedule too large to represent") from None
 
 
 # The selection count works through blocks of about this many candidate-point

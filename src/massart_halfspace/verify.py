@@ -24,7 +24,7 @@ Projecting the mean onto a fixed direction can only shrink it, so this
 scalar is a sound lower bound even without symmetry. The two in-plane
 coordinates are drawn from the closed-form projected density, with the
 w-coordinate importance-sampled from a Laplace mixture matched to the
-derivative's width sigma; weights are bounded by 1/(1 - mixture_weight),
+derivative's width sigma; weights are bounded by 1/(1 - MIXTURE_WEIGHT),
 so the estimator keeps finite variance while spending most samples where
 the derivative actually lives. Noise rates are evaluated on the in-plane
 points embedded back into R^d; for point-dependent strategies this
@@ -57,6 +57,9 @@ MC_SAMPLE_CAP = 10_000_000
 # means is only trusted once this many chunks exist.
 _CHUNK = 1 << 14
 _MIN_CHUNKS = 16
+
+# Share of the importance proposal drawn from the Laplace band at the margin.
+MIXTURE_WEIGHT = 0.9
 
 
 def lemma_sigma_cap(kind: str, profile: BoundedProfile, noise_param: float, theta: float) -> float:
@@ -125,7 +128,6 @@ class StructuralCheckConfig:
     mc_samples: int = 1 << 15
     confidence_sigmas: float = 3.0
     seed: int = 0
-    mixture_weight: float = 0.9
 
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
@@ -138,8 +140,6 @@ class StructuralCheckConfig:
             raise ValueError(f"mc_samples must be at least 2, got {self.mc_samples!r}")
         if self.confidence_sigmas <= 0.0:
             raise ValueError(f"confidence_sigmas must be positive, got {self.confidence_sigmas!r}")
-        if not (0.0 < self.mixture_weight < 1.0):
-            raise ValueError(f"mixture_weight must lie in (0, 1), got {self.mixture_weight!r}")
         if self.noise.kind == "strong_massart_max" and self.surrogate.kind != "sigmoid":
             raise ValueError("the strong-noise floor is only stated for the sigmoid surrogate")
         edge = self.window_edge()
@@ -237,7 +237,7 @@ def _estimate_angle(
 ) -> AngleGapResult:
     dim = config.marginal.dim
     sigma = config.surrogate.sigma
-    mix = config.mixture_weight
+    mix = MIXTURE_WEIGHT
     # The derivative weight dies off within a few sigma of the margin, so
     # the proposal spends most of its draws on a Laplace band slightly
     # wider than that; the marginal mixture component keeps importance

@@ -71,6 +71,17 @@ LEARN_FLAT = {
     "eval.samples": 2000,
 }
 
+# LEARN_FLAT without its selection override, so the schedule sizes that sample.
+SELECTING_FLAT = {key: value for key, value in LEARN_FLAT.items() if key != "learn.selection"}
+
+STRONG_FLAT = {
+    **{key: value for key, value in LEARN_FLAT.items() if key != "noise.eta_bound"},
+    "base_seed": 77002,
+    "noise.kind": "strong_massart_max",
+    "noise.c_strong": 0.5,
+    "learn.model": "strong_massart",
+}
+
 VERIFY_FLAT = {
     "command": "verify",
     "base_seed": 412,
@@ -488,15 +499,35 @@ class TestRunLearn:
         cfg = config_from_mapping(_flat(LEARN_FLAT, tmp_path, **{"learn.step_size": 1e308}))
         assert run(cfg) == EXIT_TRIAL_FAILURES
         _, header, rows = _read_artifact(tmp_path / "learn.csv")
+        assert header == list(harness.LEARN_COLUMNS)
         assert len(rows) == 2
-        for row in rows:
-            assert len(row) == len(header)
-            assert row[16] == "abort:PsgdDivergenceError"
-            assert row[2] == "nan"
+        for trial, row in enumerate(rows):
+            # every column holds the column table's abort value
+            expected = {
+                **harness.LEARN_COLUMNS,
+                "trial": trial,
+                "seed": harness.derive_seed(cfg.values["base_seed"], trial, harness._ROLE_ORACLE),
+                "verdict": "abort:PsgdDivergenceError",
+            }
+            assert row == [str(expected[name]) for name in header]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["aborts"] == 2
         assert summary["completed"] == 0
+        assert summary["passes"] == 0
         assert summary["median_disagreement"] is None
+        assert summary["median_excess_error"] is None
+
+    def test_one_trial_alone_matches_its_row_in_a_run(self, tmp_path):
+        # A trial is a pure function of (config, trial): run alone, trial 1
+        # gives the same learn.csv row and curves as inside a 2-trial run.
+        cfg = config_from_mapping(_flat(LEARN_FLAT, tmp_path, plots=True))
+        assert run(cfg) == EXIT_OK
+        _, header, rows = _read_artifact(tmp_path / "learn.csv")
+        _, _, curve_rows = _read_artifact(tmp_path / "learn_curves.csv")
+        row, curves = harness._learn_trial(cfg, 1)
+        wall = header.index("wall_time_s")
+        assert [str(row[name]) for name in header][:wall] == rows[1][:wall]
+        assert [[str(cell) for cell in curve] for curve in curves] == [r for r in curve_rows if r[0] == "1"]
 
     def test_other_trial_exception_propagates(self, tmp_path, monkeypatch):
         # Only divergence and an underpowered check become abort rows; any
@@ -732,7 +763,8 @@ BENCH_FLAT = {"command": "bench", "bench.samples": 5000, "marginal.dim": 4}
 
 # Malformed configs that must be rejected before any output. All but the
 # first four once ended in a raw traceback, in abort rows with exit 2, or in
-# a run that exited 0 without checking its input.
+# a run that exited 0 without checking its input; the last six, schedules
+# too large to represent, once gave a config error that named no key.
 MALFORMED = [
     (LEARN_FLAT, {"eval.min_pass": 0}),
     (LEARN_FLAT, {"eval.min_pass": 5}),
@@ -760,10 +792,16 @@ MALFORMED = [
     (BENCH_FLAT, {"bench.samples": 0}),
     (LEARN_FLAT, {"noise.hash_seed": 1.5}),
     (LEARN_FLAT, {"plots": "maybe"}),
+    (LEARN_FLAT, {"learn.eps": 1e-200}),
+    (STRONG_FLAT, {"noise.c_strong": 1e-200}),
+    (LEARN_FLAT, {"learn.eps": 1e-160}),
+    (LEARN_FLAT, {"learn.mode": "theoretical", "learn.eps": 1e-160}),
+    (SELECTING_FLAT, {"learn.delta": 1e-320}),
+    (SELECTING_FLAT, {"learn.mode": "theoretical", "learn.delta": 1e-320}),
 ]
 MALFORMED_IDS = [
     "min_pass_below_one", "min_pass_above_trials", "unknown_mode", "negative_seed",
-    *(f"{key}={value}" for _, override in MALFORMED[4:] for key, value in override.items()),
+    *(",".join(f"{key}={value}" for key, value in override.items()) for _, override in MALFORMED[4:]),
 ]
 
 

@@ -185,6 +185,21 @@ class TestPracticalSchedules:
         assert sched.record_every == 400
         assert sched.candidate_count == 2 * 11
 
+    @pytest.mark.parametrize("mode", ["practical", "theoretical"])
+    @pytest.mark.parametrize("make, key, value", [
+        (_massart_params, "eps", 1e-200),
+        (_strong_params, "c_strong", 1e-200),
+        (_massart_params, "eps", 1e-160),
+        (_strong_params, "eps", 1e-160),
+        (_massart_params, "delta", 1e-320),
+        (_strong_params, "delta", 1e-320),
+    ])
+    def test_unrepresentable_schedule_names_its_parameter(self, mode, make, key, value):
+        # These once raised ZeroDivisionError or OverflowError: a resolution
+        # that underflows to zero, or a count past the float range.
+        with pytest.raises(ValueError, match=f"{key} = {value!r}.* too large to represent"):
+            schedule_for(make(mode=mode, **{key: value}), 10)
+
     def test_auto_record_every_targets_fifty_recordings(self):
         sched = schedule_for(_massart_params(steps_override=1234), 2)
         assert sched.record_every == math.ceil(1234 / 50)
