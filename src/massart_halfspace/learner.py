@@ -182,6 +182,8 @@ def schedule_for(params: LearnParams, dim: int) -> Schedule:
     try:
         t = float(prof.tail_radius(eps / 2.0))
         theta_target = eps * separation / (U * t**2)
+        if not theta_target > 0.0:
+            raise FloatingPointError("the target angle underflows to 0")
         sigma_cap = lemma_sigma_cap(cap_kind, prof, cap_param, theta_target)
         if theoretical:
             steps = int(math.ceil(c1 * dim * t**8 / (eps**4 * gap**power) * math.log(1.0 / params.delta)))
@@ -204,7 +206,7 @@ def schedule_for(params: LearnParams, dim: int) -> Schedule:
             theta_target=theta_target,
             sigma_cap=sigma_cap,
         )
-    except ArithmeticError:  # a resolution that underflows to 0, or a count past the float range
+    except ArithmeticError:  # an angle or resolution that underflows to 0, or a count past the float range
         named = ", ".join(f"{key} = {getattr(params, key)!r}" for key in ("eps", gap_key, "delta"))
         raise ValueError(f"{named} give a {params.mode} schedule too large to represent") from None
 

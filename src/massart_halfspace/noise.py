@@ -15,7 +15,6 @@ adversary alone.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -61,32 +60,58 @@ class NoiseStrategy:
             raise ValueError(f"hash_seed must be a non-negative 64-bit integer, got {self.hash_seed!r}")
 
 
+# Keyed 64-bit row hash: h starts at hash_seed ^ _HASH_KEY; each coordinate's
+# bit pattern is XORed in, _HASH_STEP is added, and the splitmix64 finalizer
+# (Steele, Lea and Flood, OOPSLA'14) mixes the state. Every round is a
+# bijection of h, so changing one coordinate of a row always changes its hash.
+_HASH_KEY = 0x243F6A8885A308D3
+_HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
+_MUL_1, _MUL_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _hash64(xs: np.ndarray, hash_seed: int) -> np.ndarray:
+    """Keyed uint64 hash of the float64 bit pattern of each row of xs."""
+    bits = np.asarray(xs, dtype=np.float64).view(np.uint64)
+    h = np.full(bits.shape[0], int(hash_seed) ^ _HASH_KEY, dtype=np.uint64)
+    tmp = np.empty_like(h)  # one shift buffer, reused by every in-place step
+    for j in range(bits.shape[1]):
+        h ^= bits[:, j]
+        h += _HASH_STEP
+        h ^= np.right_shift(h, _SHIFT_1, out=tmp)
+        h *= _MUL_1
+        h ^= np.right_shift(h, _SHIFT_2, out=tmp)
+        h *= _MUL_2
+        h ^= np.right_shift(h, _SHIFT_3, out=tmp)
+    return h
+
+
 def _hash_unit_floats(xs: np.ndarray, hash_seed: int) -> np.ndarray:
-    """Deterministic map from the bit pattern of each row to [0, 1)."""
-    key = int(hash_seed).to_bytes(8, "little")
-    out = np.empty(xs.shape[0], dtype=np.float64)
-    contiguous = np.ascontiguousarray(xs, dtype=np.float64)
-    for i in range(contiguous.shape[0]):
-        digest = hashlib.blake2b(contiguous[i].tobytes(), key=key, digest_size=8).digest()
-        out[i] = int.from_bytes(digest, "little") / 2.0**64
-    return out
+    """Deterministic map from the bit pattern of each row to [0, 1): the top
+    53 bits of its hash, so the largest value is 1 - 2**-53."""
+    return (_hash64(xs, hash_seed) >> np.uint64(11)) * 2.0**-53
 
 
-def noise_rates(strategy: NoiseStrategy, target: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Flip rate eta(x) for each row of xs against the target normal."""
+def noise_rates(
+    strategy: NoiseStrategy, target: np.ndarray, xs: np.ndarray, *, margins: np.ndarray | None = None
+) -> np.ndarray:
+    """Flip rate eta(x) for each row of xs against the target normal.
+
+    margins, if given, must be xs @ target; the margin-dependent kinds then
+    use it instead of computing the product again.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     kind = strategy.kind
     if kind == "none":
         return np.zeros(xs.shape[0])
     if kind == "constant":
         return np.full(xs.shape[0], strategy.eta_bound)
-    if kind == "boundary_concentrated":
-        margins = np.abs(xs @ target)
-        return np.where(margins <= strategy.band, strategy.eta_bound, 0.0)
     if kind == "random_measurable":
         return strategy.eta_bound * _hash_unit_floats(xs, strategy.hash_seed)
+    margins = np.abs(xs @ target if margins is None else margins)
+    if kind == "boundary_concentrated":
+        return np.where(margins <= strategy.band, strategy.eta_bound, 0.0)
     # strong_massart_max
-    margins = np.abs(xs @ target)
     return np.maximum(0.5 - strategy.c_strong * margins, 0.0)
 
 
@@ -146,8 +171,9 @@ class MassartOracle:
         """Draw n noisy labeled examples, advancing the oracle streams."""
         x_rng, flip_rng = self._streams()
         xs = self.marginal.sample(n, rng=x_rng)
-        clean = sign_of(xs @ self.target)
-        rates = noise_rates(self.strategy, self.target, xs)
+        margins = xs @ self.target
+        clean = sign_of(margins)
+        rates = noise_rates(self.strategy, self.target, xs, margins=margins)
         flips = flip_rng.random(n) < rates
         ys = np.where(flips, -clean, clean)
         return Draw(xs=xs, ys=ys, flipped=flips)

@@ -874,6 +874,21 @@ class TestCli:
         assert any(key.rsplit(".", 1)[-1] in err for key in override), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fixture", ["learn_massart_gaussian.cfg", "learn_strong_gaussian.cfg"])
+    def test_underflowing_target_angle_names_eps(self, tmp_path, capsys, fixture):
+        # On the Gaussian profiles eps = 1e-320 underflows the target angle
+        # to 0.0; the config error once named only `theta`.
+        flat = {**parse_config_text((FIXTURES / fixture).read_text()), "learn.eps": 1e-320}
+        gap_key = "eta_bound" if "massart_gaussian" in fixture else "c_strong"
+        with pytest.raises(ConfigError, match=f"eps = 1e-320, {gap_key} = .*, delta = 0.1 give"):
+            config_from_mapping(flat)
+        out = tmp_path / "out"
+        cfg_path = _write_config(tmp_path / "c.cfg", {**flat, "out": str(out)})
+        assert cli_main(["learn", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "eps = 1e-320" in err, err
+        assert not out.exists()
+
     def test_threads_flag_validated(self, tmp_path, capsys):
         # threads is neither a flag nor a config key
         cfg_path = _write_config(tmp_path / "b.cfg", {"command": "bench"})

@@ -11,8 +11,11 @@ from massart_halfspace import (
     MassartOracle,
     NOISE_KINDS,
     NoiseStrategy,
+    noise,
     noise_rates,
 )
+from massart_halfspace.geometry import sign_of
+from massart_halfspace.rng import STREAM_FLIP, STREAM_X, make_rng
 
 
 def _disk_oracle(strategy, seed=100):
@@ -131,6 +134,134 @@ class TestRates:
         rates = noise_rates(NoiseStrategy(kind="strong_massart_max", c_strong=c), t, xs)
         assert np.all(rates >= 0.0)
         assert np.all(rates <= 0.5)
+
+
+def _rows_from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def _reference_hash64(bits, seed):
+    """The row hash in Python integers, one coordinate at a time."""
+    mask = 2**64 - 1
+    h = seed ^ 0x243F6A8885A308D3
+    for b in bits:
+        h = ((h ^ b) + 0x9E3779B97F4A7C15) & mask
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & mask
+        h ^= h >> 31
+    return h
+
+
+class TestMeasurableHash:
+    # Each row's uint64 hash, worked in Python integers by _reference_hash64.
+    # These depend on uint64 arithmetic alone, so they hold on any numpy
+    # version.
+    GOLDEN = [
+        ([0.0, 0.0], 0, 0x93A9BDB51E5D5285),
+        ([-0.0, 0.0], 0, 0x5A4A5665C8AD274F),
+        ([1.0, -2.0], 0, 0x8A574CA471500A32),
+        ([1.0, -2.0], 9, 0x56D99D0F18E4772E),
+        ([0.5, 0.25, -0.125], 2**64 - 1, 0xE068C29232C174AA),
+    ]
+
+    @pytest.mark.parametrize("row, seed, expected", GOLDEN)
+    def test_golden_values(self, row, seed, expected):
+        xs = np.array([row])
+        assert _reference_hash64(xs.view(np.uint64)[0].tolist(), seed) == expected
+        assert int(noise._hash64(xs, seed)[0]) == expected
+        # the rate keeps the hash's top 53 bits
+        unit = (expected >> 11) / 2.0**53
+        assert noise._hash_unit_floats(xs, seed)[0] == unit
+        s = NoiseStrategy(kind="random_measurable", eta_bound=0.25, hash_seed=seed)
+        assert noise_rates(s, np.eye(len(row))[0], xs)[0] == 0.25 * unit
+
+    @given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), min_size=1, max_size=20),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_python_integer_reference(self, rows, seed):
+        h = noise._hash64(_rows_from_bits(rows), seed)
+        assert [int(v) for v in h] == [_reference_hash64(bits, seed) for bits in rows]
+
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        st.data(),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_changing_one_coordinate_changes_the_hash(self, bits, data, seed):
+        # every round is a bijection of the state, so this holds exactly
+        j = data.draw(st.integers(0, len(bits) - 1))
+        other = data.draw(st.integers(0, 2**64 - 1).filter(lambda b: b != bits[j]))
+        changed = list(bits)
+        changed[j] = other
+        xs = np.stack([_rows_from_bits(bits), _rows_from_bits(changed)])
+        h = noise._hash64(xs, seed)
+        assert h[0] != h[1]
+
+    def test_memory_layout_does_not_change_the_hash(self):
+        wide = np.random.default_rng(4).standard_normal((300, 6))
+        xs = np.ascontiguousarray(wide[:, ::2])
+        expected = noise._hash64(xs, 5)
+        for view in (np.asfortranarray(xs), wide[:, ::2]):
+            assert np.array_equal(noise._hash64(view, 5), expected)
+        assert np.array_equal(noise._hash64(xs[::-1], 5), expected[::-1])
+        s = NoiseStrategy(kind="random_measurable", eta_bound=0.3, hash_seed=5)
+        rates = noise_rates(s, np.array([1.0, 0.0, 0.0]), xs)
+        assert np.array_equal(noise_rates(s, np.array([1.0, 0.0, 0.0]), wide[:, ::2]), rates)
+
+    def test_all_ones_hash_maps_below_one(self, monkeypatch):
+        top = np.array([2**64 - 1, 2**64 - 2**11, 2**11 - 1, 0], dtype=np.uint64)
+        monkeypatch.setattr(noise, "_hash64", lambda xs, seed: top)
+        unit = noise._hash_unit_floats(np.zeros((4, 2)), 0)
+        assert unit[0] == unit[1] == 1.0 - 2.0**-53
+        assert unit[0] < 1.0
+        assert unit[2] == unit[3] == 0.0
+        for eta in (0.1, 0.3, 0.45, 0.5 - 2.0**-54):
+            s = NoiseStrategy(kind="random_measurable", eta_bound=eta)
+            assert noise_rates(s, np.array([1.0, 0.0]), np.zeros((4, 2)))[0] < eta
+
+
+def _strategy(kind):
+    return NoiseStrategy(
+        kind=kind, eta_bound=0.0 if kind == "strong_massart_max" else 0.35,
+        c_strong=0.7, band=0.4, hash_seed=11,
+    )
+
+
+class TestSharedMargins:
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_margins_argument_changes_no_bit(self, kind):
+        rng = np.random.default_rng(6)
+        t = rng.standard_normal(5)
+        t /= np.linalg.norm(t)
+        xs = rng.standard_normal((4000, 5))
+        s = _strategy(kind)
+        fresh = noise_rates(s, t, xs)
+        shared = noise_rates(s, t, xs, margins=xs @ t)
+        assert fresh.dtype == shared.dtype
+        assert fresh.tobytes() == shared.tobytes()
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_draw_matches_the_two_product_reference(self, kind):
+        s = _strategy(kind)
+        oracle = MassartOracle(
+            target=np.array([0.6, 0.0, -0.8]),
+            strategy=s,
+            marginal=MarginalSampler(kind="standard_gaussian", dim=3, seed=21),
+            seed=21,
+        )
+        got = [oracle.draw(3000), oracle.draw(1000)]
+        # reference draw: one product for the clean labels and a second
+        # inside noise_rates
+        x_rng, flip_rng = make_rng(21, STREAM_X), make_rng(21, STREAM_FLIP)
+        for d, n in zip(got, (3000, 1000)):
+            xs = oracle.marginal.sample(n, rng=x_rng)
+            clean = sign_of(xs @ oracle.target)
+            flips = flip_rng.random(n) < noise_rates(s, oracle.target, xs)
+            ys = np.where(flips, -clean, clean)
+            assert d.xs.tobytes() == xs.tobytes()
+            assert d.ys.tobytes() == ys.tobytes()
+            assert d.flipped.tobytes() == flips.tobytes()
 
 
 class TestOracleDraws:
