@@ -17,9 +17,8 @@ from massart_halfspace import (
     NoiseStrategy,
     StructuralCheckConfig,
     SurrogateSpec,
-    lemma_gradient_floor,
-    lemma_sigma_cap,
     make_rng,
+    verify_lemma,
     verify_stationary_gap,
 )
 from massart_halfspace.distributions import PROFILE_BUILDERS
@@ -44,20 +43,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="angle_gap_curve.csv")
     args = parser.parse_args(argv)
 
-    lemma = "strong" if args.noise == "strong_massart_max" else args.surrogate
-    noise_param = args.c if lemma == "strong" else args.eta
-    certified = PROFILE_BUILDERS[args.profile]()
+    profile = PROFILE_BUILDERS[args.profile]()
     angles = [math.pi * (i + 1) / (args.points + 1) for i in range(args.points)]
-    edge = min(min(a, math.pi - a) for a in angles)
-    sigma = lemma_sigma_cap(lemma, certified.profile, noise_param, edge)
-    floor = lemma_gradient_floor(lemma, certified.profile, noise_param)
+    noise = NoiseStrategy(kind=args.noise, eta_bound=args.eta, c_strong=args.c, band=args.band)
+    sigma = verify_lemma(args.surrogate, noise, profile, angles)[2]
 
     config = StructuralCheckConfig(
         surrogate=SurrogateSpec(kind=args.surrogate, sigma=sigma),
-        noise=NoiseStrategy(kind=args.noise, eta_bound=args.eta,
-                            c_strong=args.c, band=args.band),
+        noise=noise,
         marginal=MarginalSampler(kind=args.marginal, dim=args.dim),
-        certified=certified,
+        profile=profile,
         angles=tuple(angles),
         mc_samples=args.mc_samples,
         seed=args.seed,
@@ -75,7 +70,7 @@ def main(argv=None) -> int:
             writer.writerow([res.theta, res.estimate, res.stderr, res.floor,
                              res.good_mass, res.bad_mass, res.verdict])
     worst = min(res.estimate - res.floor for res in report.results)
-    print(f"{len(report.results)} angles, sigma = {sigma:.3g}, floor = {floor:.3g}")
+    print(f"{len(report.results)} angles, sigma = {sigma:.3g}, floor = {report.floor:.3g}")
     print(f"worst estimate-floor margin: {worst:.3g}")
     print(f"wrote {args.out}")
     return 0 if report.all_pass() else 2

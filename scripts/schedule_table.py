@@ -22,7 +22,7 @@ def main(argv=None) -> int:
                         help="eta bounds (massart) or c slopes (strong_massart)")
     args = parser.parse_args(argv)
 
-    profile = PROFILE_BUILDERS[args.profile]().profile
+    profile = PROFILE_BUILDERS[args.profile]()
     print(f"{'mode':>11} {'eps':>6} {'param':>6} {'steps':>12} {'step_size':>12}"
           f" {'sigma':>12} {'selection':>10}")
     for mode in ("theoretical", "practical"):

@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .distributions import (
     PROFILE_BUILDERS,
-    CertifiedProfile,
     MarginalSampler,
     disk_profile,
     empirical_density_check,
@@ -70,6 +69,7 @@ from .verify import (
     StructuralCheckConfig,
     lemma_gradient_floor,
     lemma_sigma_cap,
+    verify_lemma,
     verify_stationary_gap,
 )
 
@@ -78,7 +78,6 @@ __all__ = [
     "BOUNDED_NOISE_KINDS",
     "BoundedProfile",
     "BudgetExceededError",
-    "CertifiedProfile",
     "ConfigError",
     "Draw",
     "ExperimentConfig",
@@ -129,5 +128,6 @@ __all__ = [
     "surrogate_value",
     "theoretical_iteration_count",
     "theoretical_step_size",
+    "verify_lemma",
     "verify_stationary_gap",
 ]

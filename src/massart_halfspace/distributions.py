@@ -1,4 +1,4 @@
-"""Isotropic marginal samplers and their certified density profiles.
+"""Isotropic marginal samplers and the density profiles of their projections.
 
 Four sampler families are provided, each scaled to identity covariance:
 
@@ -7,10 +7,11 @@ Four sampler families are provided, each scaled to identity covariance:
     uniform_sphere_scaled   uniform on the sphere of radius sqrt(d)
     uniform_disk_2d         uniform on the radius-2 disk (d = 2 only)
 
-A `CertifiedProfile` packages a `BoundedProfile` together with where its
-constants come from. The uniform disk admits an exact profile; the
-standard Gaussian an analytic one; isotropic log-concave distributions a
-conservative paper-constant one parameterized by a concentration knob.
+Each profile builder returns a `BoundedProfile`. The uniform disk admits
+an exact profile; the standard Gaussian an analytic one; isotropic
+log-concave distributions a conservative paper-constant one parameterized
+by a concentration knob. Tail radii are module-level functions, so a
+profile, and a config holding one, pickles.
 
 `empirical_density_check` histograms a 2-d projection of actual sampler
 output against a profile, so profile constants never have to be taken on
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -115,33 +117,32 @@ class MarginalSampler:
         return g * (radius / norms)[:, None]
 
 
-@dataclass(frozen=True)
-class CertifiedProfile:
-    """A BoundedProfile plus the provenance of its constants."""
-
-    profile: BoundedProfile
-    provenance: str  # "analytic" (exact for the sampler) or "paper_constant"
-    note: str = ""
-
-    def __post_init__(self):
-        if self.provenance not in ("analytic", "paper_constant"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+def _check_eps(eps: float) -> float:
+    eps = float(eps)
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
+    return eps
 
 
-def disk_profile() -> CertifiedProfile:
+def _disk_tail(eps: float) -> float:
+    _check_eps(eps)
+    return DISK_RADIUS
+
+
+def _gaussian_tail(eps: float) -> float:
+    return math.sqrt(2.0 * math.log(1.0 / _check_eps(eps)))
+
+
+def _logconcave_tail(c: float, eps: float) -> float:
+    return c * math.log(1.0 / _check_eps(eps)) + 2.0 * c
+
+
+def disk_profile() -> BoundedProfile:
     """Exact profile of the uniform radius-2 disk: density is 1/(4*pi) on it."""
-    return CertifiedProfile(
-        profile=BoundedProfile(
-            density_bound=4.0 * math.pi,
-            inner_radius=DISK_RADIUS,
-            tail_radius=lambda eps: DISK_RADIUS,
-        ),
-        provenance="analytic",
-        note="uniform_disk_2d",
-    )
+    return BoundedProfile(density_bound=4.0 * math.pi, inner_radius=DISK_RADIUS, tail_radius=_disk_tail)
 
 
-def gaussian_profile() -> CertifiedProfile:
+def gaussian_profile() -> BoundedProfile:
     """Analytic profile of any 2-d projection of a standard Gaussian.
 
     The projected density is exp(-r^2/2)/(2*pi), so on the unit disk it
@@ -149,22 +150,12 @@ def gaussian_profile() -> CertifiedProfile:
     squared projected norm is chi-squared with 2 degrees of freedom,
     giving the exact tail radius sqrt(2*ln(1/eps)).
     """
-    bound = 2.0 * math.pi * math.sqrt(math.e)
-
-    def tail(eps: float) -> float:
-        eps = float(eps)
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-        return math.sqrt(2.0 * math.log(1.0 / eps))
-
-    return CertifiedProfile(
-        profile=BoundedProfile(density_bound=bound, inner_radius=1.0, tail_radius=tail),
-        provenance="analytic",
-        note="standard_gaussian",
+    return BoundedProfile(
+        density_bound=2.0 * math.pi * math.sqrt(math.e), inner_radius=1.0, tail_radius=_gaussian_tail
     )
 
 
-def logconcave_profile(concentration_knob: float = DEFAULT_CONCENTRATION_KNOB) -> CertifiedProfile:
+def logconcave_profile(concentration_knob: float = DEFAULT_CONCENTRATION_KNOB) -> BoundedProfile:
     """Conservative profile valid for every isotropic log-concave marginal.
 
     The density and disk constants are universal. The tail radius
@@ -176,21 +167,10 @@ def logconcave_profile(concentration_knob: float = DEFAULT_CONCENTRATION_KNOB) -
     c = float(concentration_knob)
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"concentration knob must be positive, got {concentration_knob!r}")
-
-    def tail(eps: float) -> float:
-        eps = float(eps)
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
-        return c * math.log(1.0 / eps) + 2.0 * c
-
-    return CertifiedProfile(
-        profile=BoundedProfile(
-            density_bound=LOGCONCAVE_DENSITY_BOUND,
-            inner_radius=LOGCONCAVE_INNER_RADIUS,
-            tail_radius=tail,
-        ),
-        provenance="paper_constant",
-        note=f"isotropic log-concave, concentration knob {c}",
+    return BoundedProfile(
+        density_bound=LOGCONCAVE_DENSITY_BOUND,
+        inner_radius=LOGCONCAVE_INNER_RADIUS,
+        tail_radius=partial(_logconcave_tail, c),
     )
 
 
@@ -241,7 +221,7 @@ TAIL_EPS_DEFAULT = (0.1, 0.01)
 def empirical_density_check(
     sampler: MarginalSampler,
     basis: tuple[np.ndarray, np.ndarray],
-    certified: CertifiedProfile | BoundedProfile,
+    profile: BoundedProfile,
     n: int,
     grid: int = 6,
     slack: float = DENSITY_SLACK,
@@ -257,7 +237,6 @@ def empirical_density_check(
     MIN_EXPECTED_CELL_COUNT cannot be decided either way and raises
     UnderpoweredCheckError rather than failing.
     """
-    profile = certified.profile if isinstance(certified, CertifiedProfile) else certified
     if grid < 2:
         raise ValueError("grid must have at least 2 cells per side")
     if n < 1:

@@ -33,14 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .distributions import PROFILE_BUILDERS, SAMPLER_KINDS, CertifiedProfile, MarginalSampler, plane_density
+from .distributions import PROFILE_BUILDERS, SAMPLER_KINDS, MarginalSampler, plane_density
 from .errors import BudgetExceededError, ConfigError, PsgdDivergenceError, UnderpoweredCheckError
-from .geometry import require_unit, sign_of
+from .geometry import BoundedProfile, require_unit, sign_of
 from .learner import MODEL_MASSART, MODEL_STRONG, MODES, LearnParams, learn, plan_learning, select_hypothesis
 from .noise import NOISE_KINDS, MassartOracle, NoiseStrategy
 from .rng import derive_seed, make_rng
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
-from .verify import StructuralCheckConfig, lemma_sigma_cap, verify_stationary_gap
+from .verify import StructuralCheckConfig, verify_lemma, verify_stationary_gap
 
 SCHEMA_VERSION = 1
 COMMANDS = ("learn", "verify", "gradcheck", "bench")
@@ -229,7 +229,7 @@ class ExperimentConfig:
 
     values: dict
     marginal: MarginalSampler
-    certified: CertifiedProfile
+    profile: BoundedProfile
     noise: NoiseStrategy
     params: LearnParams | None  # learn only
     checks: tuple[StructuralCheckConfig, ...]  # verify only, one per strategy
@@ -269,7 +269,7 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
             kind=v["noise.kind"], eta_bound=v["noise.eta_bound"], c_strong=v["noise.c_strong"],
             band=v["noise.band"], hash_seed=v["noise.hash_seed"],
         )
-    certified = PROFILE_BUILDERS[v["profile"]]()
+    profile = PROFILE_BUILDERS[v["profile"]]()
     if v["learn.model"] == "auto":
         v["learn.model"] = MODEL_STRONG if noise.kind == "strong_massart_max" else MODEL_MASSART
     v["verify.strategies"] = v["verify.strategies"] or (noise.kind,)
@@ -278,7 +278,7 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
         massart = v["learn.model"] == MODEL_MASSART
         with _section("learn section"):
             params = LearnParams(
-                model=v["learn.model"], eps=v["learn.eps"], profile=certified.profile,
+                model=v["learn.model"], eps=v["learn.eps"], profile=profile,
                 delta=v["learn.delta"], eta_bound=noise.eta_bound if massart else None,
                 c_strong=None if massart else noise.c_strong, mode=v["learn.mode"],
                 budget=v["learn.budget"], record_every=v["learn.record_every"],
@@ -287,25 +287,23 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
             )
             plan_learning(params, noise.kind, marginal.dim)
     if v["command"] == "verify":
-        edges = [min(a, math.pi - a) for a in v["verify.angles"] if a > 0.0]
-        if v["verify.sigma"] == "cap" and not edges:
-            raise ConfigError("field verify.sigma: `cap` needs a positive angle in verify.angles")
         for si, kind in enumerate(v["verify.strategies"]):
             with _section("field verify.strategies"):
                 strategy = replace(noise, kind=kind)
+            sigma = v["verify.sigma"]
+            if sigma == "cap":
+                with _section("verify section"):
+                    sigma = verify_lemma(v["verify.surrogate"], strategy, profile, v["verify.angles"])[2]
+                if sigma is None:
+                    raise ConfigError("field verify.sigma: `cap` needs a positive angle in verify.angles")
             with _section("verify section"):
-                sigma = v["verify.sigma"]
-                if sigma == "cap":  # the lemma cap at the tightest window edge
-                    lemma = "strong" if kind == "strong_massart_max" else v["verify.surrogate"]
-                    param = strategy.c_strong if lemma == "strong" else strategy.eta_bound
-                    sigma = lemma_sigma_cap(lemma, certified.profile, param, min(edges))
                 checks.append(StructuralCheckConfig(
                     surrogate=SurrogateSpec(kind=v["verify.surrogate"], sigma=sigma), noise=strategy,
-                    marginal=marginal, certified=certified, angles=v["verify.angles"],
+                    marginal=marginal, profile=profile, angles=v["verify.angles"],
                     mc_samples=v["verify.mc_samples"], confidence_sigmas=v["verify.confidence_sigmas"],
                     seed=derive_seed(v["base_seed"], si),
                 ))
-    return ExperimentConfig(v, marginal, certified, noise, params, tuple(checks), dict(flat))
+    return ExperimentConfig(v, marginal, profile, noise, params, tuple(checks), dict(flat))
 
 
 def read_config(path: str | Path) -> dict:

@@ -232,6 +232,9 @@ def _select(candidates: np.ndarray, slabs, n: int) -> tuple[int, float, np.ndarr
             miss = prods >= 0.0
             miss ^= positive[lo : lo + rows]
             wrong += np.count_nonzero(miss, axis=1)
+            del prods, miss
+        # only one slab may be alive: the next one is drawn when the loop resumes
+        del xs, ys, positive
     errors = wrong / n
     idx = int(np.argmin(errors))
     return idx, float(errors[idx]), errors
@@ -350,6 +353,7 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
         for lo in range(0, n, _SELECT_CHUNK):
             sel = sel_oracle.draw(min(_SELECT_CHUNK, n - lo))
             yield sel.xs, sel.ys
+            del sel  # dead before the next slab is drawn
 
     idx, err, errors = _select(candidates, slabs(), n)
     k = trajectory.iterates.shape[0]

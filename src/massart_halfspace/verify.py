@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CertifiedProfile, MarginalSampler, PlaneDensity, plane_density
+from .distributions import MarginalSampler, PlaneDensity, plane_density
 from .errors import UnderpoweredCheckError
 from .geometry import BoundedProfile, require_unit, sign_of
 from .noise import NoiseStrategy, noise_rates
@@ -57,6 +57,9 @@ MC_SAMPLE_CAP = 10_000_000
 # means is only trusted once this many chunks exist.
 _CHUNK = 1 << 14
 _MIN_CHUNKS = 16
+# The first round draws ceil(mc_samples / _CHUNK) whole chunks, so a larger
+# mc_samples would pass MC_SAMPLE_CAP before the cap is first checked.
+MAX_MC_SAMPLES = MC_SAMPLE_CAP // _CHUNK * _CHUNK
 
 # Share of the importance proposal drawn from the Laplace band at the margin.
 MIXTURE_WEIGHT = 0.9
@@ -100,6 +103,24 @@ def lemma_gradient_floor(kind: str, profile: BoundedProfile, noise_param: float)
     return noise_param * R**3 / (288.0 * U)
 
 
+def verify_lemma(
+    surrogate_kind: str, noise: NoiseStrategy, profile: BoundedProfile, angles
+) -> tuple[str, float, float | None]:
+    """The lemma a verify check tests, its noise parameter, and its sigma cap.
+
+    strong_massart_max noise is covered by the strong lemma with parameter
+    c_strong, any other noise by the surrogate's own lemma with parameter
+    eta_bound. The cap is the lemma cap at the tightest window edge
+    min(a, pi - a) over the positive angles, None if no angle is positive.
+    """
+    if noise.kind == "strong_massart_max":
+        lemma, param = "strong", noise.c_strong
+    else:
+        lemma, param = surrogate_kind, noise.eta_bound
+    edges = [min(a, math.pi - a) for a in angles if a > 0.0]
+    return lemma, param, lemma_sigma_cap(lemma, profile, param, min(edges)) if edges else None
+
+
 def _check_eta(eta: float) -> None:
     if not (0.0 <= eta < 0.5):
         raise ValueError(f"noise ceiling must lie in [0, 1/2), got {eta!r}")
@@ -116,14 +137,13 @@ class StructuralCheckConfig:
 
     angles live in [0, pi); a zero angle requests the complementary
     near-stationarity check at the target itself instead of a floor
-    test. sigma must respect the relevant cap at the tightest window
-    edge min(theta, pi - theta) over the positive angles.
+    test. sigma must respect the cap of `verify_lemma`.
     """
 
     surrogate: SurrogateSpec
     noise: NoiseStrategy
     marginal: MarginalSampler
-    certified: CertifiedProfile
+    profile: BoundedProfile
     angles: tuple[float, ...]
     mc_samples: int = 1 << 15
     confidence_sigmas: float = 3.0
@@ -136,37 +156,18 @@ class StructuralCheckConfig:
         for a in self.angles:
             if not (0.0 <= a < math.pi):
                 raise ValueError(f"every angle must lie in [0, pi), got {a!r}")
-        if self.mc_samples < 2:
-            raise ValueError(f"mc_samples must be at least 2, got {self.mc_samples!r}")
+        if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise ValueError(f"mc_samples must lie in [2, {MAX_MC_SAMPLES}], got {self.mc_samples!r}")
+        if self.marginal.dim < 2:
+            # the plane through the target needs a direction orthogonal to it
+            raise ValueError(f"verify needs marginal dim >= 2, got dim = {self.marginal.dim!r}")
         if self.confidence_sigmas <= 0.0:
             raise ValueError(f"confidence_sigmas must be positive, got {self.confidence_sigmas!r}")
         if self.noise.kind == "strong_massart_max" and self.surrogate.kind != "sigmoid":
             raise ValueError("the strong-noise floor is only stated for the sigmoid surrogate")
-        edge = self.window_edge()
-        if edge is not None:
-            cap = lemma_sigma_cap(self.lemma_kind, self.certified.profile, self.noise_param, edge)
-            if self.surrogate.sigma > cap * (1.0 + 1e-12):
-                raise ValueError(
-                    f"sigma {self.surrogate.sigma} exceeds the {self.lemma_kind} cap "
-                    f"{cap} at window edge {edge}"
-                )
-
-    @property
-    def lemma_kind(self) -> str:
-        if self.noise.kind == "strong_massart_max":
-            return "strong"
-        return self.surrogate.kind
-
-    @property
-    def noise_param(self) -> float:
-        if self.noise.kind == "strong_massart_max":
-            return self.noise.c_strong
-        return self.noise.eta_bound
-
-    def window_edge(self) -> float | None:
-        """Tightest positive window edge among the angles, None if all zero."""
-        edges = [min(a, math.pi - a) for a in self.angles if a > 0.0]
-        return min(edges) if edges else None
+        lemma, _, cap = verify_lemma(self.surrogate.kind, self.noise, self.profile, self.angles)
+        if cap is not None and self.surrogate.sigma > cap * (1.0 + 1e-12):
+            raise ValueError(f"sigma {self.surrogate.sigma} exceeds the {lemma} cap {cap} at the window edge")
 
 
 @dataclass(frozen=True)
@@ -341,13 +342,14 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
             f"{config.marginal.dim}"
         )
     plane = plane_density(config.marginal.kind, config.marginal.dim)
-    floor = lemma_gradient_floor(config.lemma_kind, config.certified.profile, config.noise_param)
+    lemma, param, _ = verify_lemma(config.surrogate.kind, config.noise, config.profile, config.angles)
+    floor = lemma_gradient_floor(lemma, config.profile, param)
     results = []
     for i, theta in enumerate(config.angles):
         rng = make_rng(config.seed, STREAM_VERIFY, i)
         results.append(_estimate_angle(config, target, theta, plane, floor, rng))
     return StructuralReport(
-        lemma_kind=config.lemma_kind,
+        lemma_kind=lemma,
         noise_kind=config.noise.kind,
         floor=floor,
         results=tuple(results),

@@ -146,8 +146,8 @@ def _check_floor_fixture(number: int, fixture: str, lemma: str, noise_param: flo
     thetas = sorted({float(row[header.index("theta")]) for row in rows})
     assert np.allclose(thetas, ANGLE_GRID, rtol=0, atol=1e-15)
     config = load_config(FIXTURES / fixture)
-    cap = lemma_sigma_cap(lemma, config.certified.profile, noise_param, math.pi / 8)
-    floor = lemma_gradient_floor(lemma, config.certified.profile, noise_param)
+    cap = lemma_sigma_cap(lemma, config.profile, noise_param, math.pi / 8)
+    floor = lemma_gradient_floor(lemma, config.profile, noise_param)
     assert math.isclose(floor, expected_floor, rel_tol=1e-14, abs_tol=0.0)
     for row in rows:
         assert float(row[header.index("floor")]) == floor
@@ -269,13 +269,12 @@ def test_criterion_09_angle_error_sandwich():
     budget = 30.0
     dim, n = 8, 1_000_000
     t0 = time.perf_counter()
-    certified = logconcave_profile()
+    profile = logconcave_profile()
     sampler = MarginalSampler(kind="standard_gaussian", dim=dim, seed=31)
     basis = (np.eye(dim)[0], np.eye(dim)[1])
-    report = empirical_density_check(sampler.spawn(0), basis, certified, n=500_000)
+    report = empirical_density_check(sampler.spawn(0), basis, profile, n=500_000)
     assert report.passed
     assert report.tail_passed
-    profile = certified.profile
     for index, theta in enumerate((0.05, 0.1, 0.3)):
         hypothesis = np.zeros(dim)
         hypothesis[0] = 1.0

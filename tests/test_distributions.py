@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -134,28 +135,27 @@ class TestProfiles:
         assert set(PROFILE_BUILDERS) == {"disk_exact", "gaussian_analytic", "logconcave"}
 
     def test_disk_profile_constants(self):
-        p = disk_profile().profile
+        p = disk_profile()
         assert p.density_bound == pytest.approx(4.0 * math.pi)
         assert p.inner_radius == 2.0
         assert p.tail_radius(0.01) == 2.0
-        assert disk_profile().provenance == "analytic"
 
     def test_gaussian_profile_constants(self):
-        p = gaussian_profile().profile
+        p = gaussian_profile()
         assert p.density_bound == pytest.approx(2.0 * math.pi * math.sqrt(math.e))
         assert p.inner_radius == 1.0
         # squared 2-d projection norm is chi-squared with 2 dof
         assert p.tail_radius(0.1) == pytest.approx(math.sqrt(2.0 * math.log(10.0)))
 
     def test_logconcave_profile_constants(self):
-        p = logconcave_profile(16.0).profile
+        p = logconcave_profile(16.0)
         # frozen from standalone arithmetic: e * 2^17
         assert p.density_bound == pytest.approx(356290.63581978396, rel=1e-13)
         assert p.inner_radius == pytest.approx(1.0 / 9.0)
         assert p.tail_radius(1.0) == pytest.approx(32.0)
 
     def test_logconcave_tail_at_unit_knob(self):
-        p = logconcave_profile(1.0).profile
+        p = logconcave_profile(1.0)
         assert p.tail_radius(math.exp(-1.0)) == pytest.approx(3.0)
 
     def test_logconcave_rejects_bad_knob(self):
@@ -164,9 +164,19 @@ class TestProfiles:
 
     def test_tail_radius_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            gaussian_profile().profile.tail_radius(0.0)
+            gaussian_profile().tail_radius(0.0)
         with pytest.raises(ValueError):
-            logconcave_profile().profile.tail_radius(1.5)
+            logconcave_profile().tail_radius(1.5)
+        with pytest.raises(ValueError):
+            disk_profile().tail_radius(0.0)
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_BUILDERS))
+    def test_profile_pickles_with_its_tail_radius(self, name):
+        profile = PROFILE_BUILDERS[name]()
+        clone = pickle.loads(pickle.dumps(profile))
+        eps = (1.0, 0.1, 1e-6)
+        assert (clone.density_bound, clone.inner_radius) == (profile.density_bound, profile.inner_radius)
+        assert [clone.tail_radius(e) for e in eps] == [profile.tail_radius(e) for e in eps]
 
 
 class TestEmpiricalDensityCheck:

@@ -103,7 +103,7 @@ class TestOrthonormalBasisOfSpan:
 
 class TestBoundedProfile:
     def test_disk_constants(self, disk):
-        p = disk.profile
+        p = disk
         assert p.density_bound == pytest.approx(4.0 * math.pi)
         assert p.inner_radius == 2.0
         assert p.tail_radius(0.5) == 2.0
@@ -124,11 +124,11 @@ class TestBoundedProfile:
 
 class TestErrorBounds:
     def test_lower_bound_at_zero(self, disk):
-        assert error_lower_bound_from_angle(0.0, disk.profile) == 0.0
+        assert error_lower_bound_from_angle(0.0, disk) == 0.0
 
     def test_lower_bound_disk_half_pi(self, disk):
         # (R^2/U) * theta = (4 / 4pi) * (pi/2) = 1/2
-        assert error_lower_bound_from_angle(math.pi / 2, disk.profile) == pytest.approx(0.5)
+        assert error_lower_bound_from_angle(math.pi / 2, disk) == pytest.approx(0.5)
 
     def test_lower_bound_identity_constants(self):
         prof = BoundedProfile(density_bound=1.0, inner_radius=0.5, tail_radius=lambda e: 1.0)
@@ -136,7 +136,7 @@ class TestErrorBounds:
         assert got == pytest.approx(0.25 * 0.1)
 
     def test_upper_bound_at_zero_angle_is_eps(self, disk):
-        assert error_upper_bound_from_angle(0.0, 0.1, disk.profile) == pytest.approx(0.1)
+        assert error_upper_bound_from_angle(0.0, 0.1, disk) == pytest.approx(0.1)
 
     def test_upper_bound_hand_case(self):
         prof = BoundedProfile(density_bound=1.0, inner_radius=0.5, tail_radius=lambda e: 2.0)
@@ -148,23 +148,23 @@ class TestErrorBounds:
 
         # frozen from standalone arithmetic:
         # (e*2^17) * (16 ln 20 + 32)^2 * 0.05 + 0.05
-        got = error_upper_bound_from_angle(0.05, 0.05, logconcave_profile(16.0).profile)
+        got = error_upper_bound_from_angle(0.05, 0.05, logconcave_profile(16.0))
         assert got == pytest.approx(113818456.05128825, rel=1e-12)
 
     def test_angle_range_validated(self, disk):
         with pytest.raises(ValueError):
-            error_lower_bound_from_angle(-0.1, disk.profile)
+            error_lower_bound_from_angle(-0.1, disk)
         with pytest.raises(ValueError):
-            error_upper_bound_from_angle(4.0, 0.1, disk.profile)
+            error_upper_bound_from_angle(4.0, 0.1, disk)
         with pytest.raises(ValueError):
-            error_upper_bound_from_angle(0.1, 0.0, disk.profile)
+            error_upper_bound_from_angle(0.1, 0.0, disk)
 
     @given(st.floats(0.0, math.pi), st.floats(0.01, 1.0))
     def test_sandwich_orders_correctly_on_disk(self, theta, eps):
         # exact-profile disk: lower bound never exceeds upper bound
         from massart_halfspace import disk_profile
 
-        p = disk_profile().profile
+        p = disk_profile()
         lo = error_lower_bound_from_angle(theta, p)
         hi = error_upper_bound_from_angle(theta, eps, p)
         assert lo <= hi + 1e-12

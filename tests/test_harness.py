@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -347,6 +348,12 @@ class TestConfigFromMapping:
         with pytest.raises(ConfigError, match="verify.sigma"):
             config_from_mapping({"command": "verify", "verify.sigma": "big"})
 
+    def test_verify_mc_samples_at_the_first_round_cap(self):
+        # 610 whole chunks of 16384 points, the most that fit under 1e7;
+        # one more sample is in MALFORMED
+        cfg = config_from_mapping({**VERIFY_FLAT, "verify.mc_samples": 9_994_240})
+        assert cfg.checks[0].mc_samples == 9_994_240
+
     def test_verify_angles_single_and_list(self):
         single = config_from_mapping({"command": "verify", "verify.angles": 0.5})
         assert single.values["verify.angles"] == (0.5,)
@@ -363,9 +370,7 @@ class TestConfigFromMapping:
 
     def test_certified_profile_is_constructed(self):
         cfg = config_from_mapping({"command": "bench", "marginal.kind": "uniform_disk_2d", "marginal.dim": 2})
-        certified = cfg.certified
-        assert certified.profile.density_bound == pytest.approx(4.0 * math.pi)
-        assert certified.provenance == "analytic"
+        assert cfg.profile.density_bound == pytest.approx(4.0 * math.pi)
 
 
 class TestLoadConfig:
@@ -382,6 +387,24 @@ class TestLoadConfig:
         assert cfg.noise.eta_bound == 0.4
         assert cfg.params.model == "massart"
         assert cfg.values["eval.min_pass"] == 9
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.iterdir()), ids=lambda p: p.name)
+    def test_fixture_config_pickles(self, fixture):
+        # a config is what a worker process would be sent
+        config = load_config(fixture)
+        assert pickle.loads(pickle.dumps(config)).hash == config.hash
+
+    def test_unpickled_config_runs_identically(self, tmp_path):
+        flat = read_config(FIXTURES / "repro_massart_disk.cfg")
+        original = config_from_mapping(_flat(flat, tmp_path / "a"))
+        clone = pickle.loads(pickle.dumps(config_from_mapping(_flat(flat, tmp_path / "b"))))
+        assert run(clone) == run(original)
+        meta_a, header_a, rows_a = _read_artifact(tmp_path / "a" / "learn.csv")
+        meta_b, header_b, rows_b = _read_artifact(tmp_path / "b" / "learn.csv")
+        assert (meta_a, header_a, len(rows_a)) == (meta_b, header_b, len(rows_b))
+        wall = header_a.index("wall_time_s")
+        for row_a, row_b in zip(rows_a, rows_b):
+            assert row_a[:wall] == row_b[:wall]
 
 
 # --------------------------------------------------------------------------
@@ -593,7 +616,7 @@ class TestRunVerify:
         assert row[1] == "sigmoid"
         # sigma resolves to the cap at the window edge (the lone angle).
         expected_sigma = lemma_sigma_cap(
-            "sigmoid", cfg.certified.profile, 0.3, math.pi / 2
+            "sigmoid", cfg.profile, 0.3, math.pi / 2
         )
         assert float(row[3]) == expected_sigma
         assert float(row[5]) >= float(row[4])  # estimate clears the floor
@@ -786,6 +809,8 @@ MALFORMED = [
     (LEARN_FLAT, {"learn.model": "strong_massart"}),
     (VERIFY_FLAT, {"marginal.dim": 3}),
     (VERIFY_FLAT, {"verify.mc_samples": 0}),
+    (VERIFY_FLAT, {"verify.mc_samples": 9_994_241}),
+    (VERIFY_FLAT, {"marginal.kind": "standard_gaussian", "marginal.dim": 1}),
     (VERIFY_FLAT, {"verify.confidence_sigmas": -1}),
     (LEARN_FLAT, {"learn.selection": 0}),
     (GRADCHECK_FLAT, {"gradcheck.cases": -5}),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from massart_halfspace import (
     select_hypothesis,
     sign_of,
 )
-from massart_halfspace.learner import _BLOCK_PRODUCTS, _STREAM_CHUNK
+from massart_halfspace.learner import _BLOCK_PRODUCTS, _SELECT_CHUNK, _STREAM_CHUNK, _select
+from massart_halfspace.rng import STREAM_SELECT
 
-DISK = disk_profile().profile
+DISK = disk_profile()
 
 
 def _massart_params(**kw):
@@ -253,6 +256,20 @@ class TestSelectHypothesis:
         brute = np.count_nonzero(sign_of(xs @ candidates.T) != ys[:, None], axis=0)
         assert np.array_equal(errors, brute / 2500)
 
+    def test_each_slab_is_dead_before_the_next_is_drawn(self):
+        rng = np.random.default_rng(43)
+        candidates = rng.standard_normal((4, 3))
+        refs = []
+
+        def slab():
+            assert all(ref() is None for ref in refs), "the previous slab is still alive"
+            xs, ys = rng.standard_normal((300, 3)), np.where(rng.random(300) < 0.5, 1.0, -1.0)
+            refs[:] = [weakref.ref(xs), weakref.ref(ys)]
+            return xs, ys
+
+        _select(candidates, (slab() for _ in range(3)), 900)
+        assert len(refs) == 2
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             select_hypothesis(np.empty((0, 2)), np.ones((3, 2)), np.ones(3))
@@ -369,6 +386,27 @@ class TestLearnPipeline:
         angle = math.acos(np.clip(abs(float(report.chosen @ target)), -1, 1))
         assert angle <= 0.35
 
+    def test_selection_slab_is_dead_before_the_next_is_drawn(self):
+        oracle, params, _ = _small_learn_setup(eta_bound=0.2)
+        params = dataclasses.replace(params, selection_override=2 * _SELECT_CHUNK + 5)
+        sel_oracle = oracle.spawn(STREAM_SELECT)
+        refs, sizes = [], []
+
+        def tracked_draw(n):
+            assert all(ref() is None for ref in refs), "the previous slab is still alive"
+            batch = MassartOracle.draw(sel_oracle, n)
+            refs[:] = [weakref.ref(batch.xs), weakref.ref(batch.ys)]
+            sizes.append(n)
+            return batch
+
+        sel_oracle.draw = tracked_draw
+        oracle.spawn = lambda *path: sel_oracle  # learn() spawns only its selection oracle
+        report = learn(oracle, params, psgd_seed=1)
+        assert sizes == [_SELECT_CHUNK, _SELECT_CHUNK, 5]
+        # the same slabs, counted the same way, as without the tracking
+        untracked = learn(_small_learn_setup(eta_bound=0.2)[0], params, psgd_seed=1)
+        assert np.array_equal(report.candidate_errors, untracked.candidate_errors)
+
     def test_strategy_model_compatibility(self):
         oracle, params, _ = _small_learn_setup(kind="strong_massart_max", c_strong=0.5)
         with pytest.raises(ValueError):
@@ -422,7 +460,7 @@ def test_step_matches_numpy_reference_step():
 
     steps, record_every = 5000, 100
     params = LearnParams(
-        model="massart", eps=0.05, profile=gaussian_profile().profile, eta_bound=0.4,
+        model="massart", eps=0.05, profile=gaussian_profile(), eta_bound=0.4,
         steps_override=steps, record_every=record_every, selection_override=100,
     )
     sched = schedule_for(params, 10)

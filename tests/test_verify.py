@@ -16,6 +16,7 @@ from massart_halfspace import (
     lemma_gradient_floor,
     lemma_sigma_cap,
     population_estimates,
+    verify_lemma,
     verify_stationary_gap,
 )
 
@@ -52,7 +53,7 @@ def _disk_config(noise, surrogate, angles, seed=1, **kw):
         surrogate=surrogate,
         noise=noise,
         marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=seed),
-        certified=DISK,
+        profile=DISK,
         angles=angles,
         seed=seed,
         **kw,
@@ -61,68 +62,68 @@ def _disk_config(noise, surrogate, angles, seed=1, **kw):
 
 class TestSigmaCap:
     def test_disk_frozen_values(self):
-        assert lemma_sigma_cap("sigmoid", DISK.profile, 0.3, math.pi / 2) == pytest.approx(
+        assert lemma_sigma_cap("sigmoid", DISK, 0.3, math.pi / 2) == pytest.approx(
             SIGMOID_CAP_HALF_PI, rel=1e-14
         )
-        assert lemma_sigma_cap("sigmoid", DISK.profile, 0.3, math.pi / 8) == pytest.approx(
+        assert lemma_sigma_cap("sigmoid", DISK, 0.3, math.pi / 8) == pytest.approx(
             SIGMOID_CAP_PI8, rel=1e-14
         )
-        assert lemma_sigma_cap("ramp", DISK.profile, 0.3, math.pi / 8) == pytest.approx(
+        assert lemma_sigma_cap("ramp", DISK, 0.3, math.pi / 8) == pytest.approx(
             RAMP_CAP_PI8, rel=1e-14
         )
-        assert lemma_sigma_cap("strong", DISK.profile, 0.5, math.pi / 8) == pytest.approx(
+        assert lemma_sigma_cap("strong", DISK, 0.5, math.pi / 8) == pytest.approx(
             STRONG_CAP_PI8, rel=1e-14
         )
 
     def test_ramp_cap_is_four_sigmoid_caps(self):
-        r = lemma_sigma_cap("ramp", DISK.profile, 0.17, 0.6)
-        s = lemma_sigma_cap("sigmoid", DISK.profile, 0.17, 0.6)
+        r = lemma_sigma_cap("ramp", DISK, 0.17, 0.6)
+        s = lemma_sigma_cap("sigmoid", DISK, 0.17, 0.6)
         assert r == pytest.approx(4.0 * s, rel=1e-15)
 
     def test_cap_grows_with_angle(self):
-        small = lemma_sigma_cap("sigmoid", DISK.profile, 0.3, 0.1)
-        large = lemma_sigma_cap("sigmoid", DISK.profile, 0.3, 1.0)
+        small = lemma_sigma_cap("sigmoid", DISK, 0.3, 0.1)
+        large = lemma_sigma_cap("sigmoid", DISK, 0.3, 1.0)
         assert small < large
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lemma_sigma_cap("hinge", DISK.profile, 0.3, 0.5)
+            lemma_sigma_cap("hinge", DISK, 0.3, 0.5)
         with pytest.raises(ValueError):
-            lemma_sigma_cap("sigmoid", DISK.profile, 0.3, 0.0)
+            lemma_sigma_cap("sigmoid", DISK, 0.3, 0.0)
         with pytest.raises(ValueError):
-            lemma_sigma_cap("sigmoid", DISK.profile, 0.3, 2.0)
+            lemma_sigma_cap("sigmoid", DISK, 0.3, 2.0)
         with pytest.raises(ValueError):
-            lemma_sigma_cap("sigmoid", DISK.profile, 0.5, 0.5)
+            lemma_sigma_cap("sigmoid", DISK, 0.5, 0.5)
         with pytest.raises(ValueError):
-            lemma_sigma_cap("strong", DISK.profile, 0.0, 0.5)
+            lemma_sigma_cap("strong", DISK, 0.0, 0.5)
 
 
 class TestGradientFloor:
     def test_disk_frozen_values(self):
-        assert lemma_gradient_floor("sigmoid", DISK.profile, 0.3) == pytest.approx(
+        assert lemma_gradient_floor("sigmoid", DISK, 0.3) == pytest.approx(
             SIGMOID_FLOOR, rel=1e-14
         )
-        assert lemma_gradient_floor("ramp", DISK.profile, 0.3) == pytest.approx(
+        assert lemma_gradient_floor("ramp", DISK, 0.3) == pytest.approx(
             RAMP_FLOOR, rel=1e-14
         )
-        assert lemma_gradient_floor("strong", DISK.profile, 0.5) == pytest.approx(
+        assert lemma_gradient_floor("strong", DISK, 0.5) == pytest.approx(
             STRONG_FLOOR, rel=1e-14
         )
 
     def test_floor_shrinks_as_noise_grows(self):
-        floors = [lemma_gradient_floor("sigmoid", DISK.profile, eta) for eta in (0.0, 0.2, 0.4)]
+        floors = [lemma_gradient_floor("sigmoid", DISK, eta) for eta in (0.0, 0.2, 0.4)]
         assert floors[0] > floors[1] > floors[2] > 0.0
 
     def test_strong_floor_linear_in_slope(self):
-        f1 = lemma_gradient_floor("strong", DISK.profile, 0.25)
-        f2 = lemma_gradient_floor("strong", DISK.profile, 0.5)
+        f1 = lemma_gradient_floor("strong", DISK, 0.25)
+        f2 = lemma_gradient_floor("strong", DISK, 0.5)
         assert f2 == pytest.approx(2.0 * f1, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lemma_gradient_floor("hinge", DISK.profile, 0.3)
+            lemma_gradient_floor("hinge", DISK, 0.3)
         with pytest.raises(ValueError):
-            lemma_gradient_floor("ramp", DISK.profile, -0.1)
+            lemma_gradient_floor("ramp", DISK, -0.1)
 
 
 class TestConfigValidation:
@@ -145,10 +146,11 @@ class TestConfigValidation:
 
     def test_window_edge_uses_reflected_angle(self):
         noise = NoiseStrategy(kind="constant", eta_bound=0.3)
-        cfg = _disk_config(noise, SurrogateSpec("sigmoid", 0.001), angles=(math.pi / 4, 7 * math.pi / 8))
-        assert cfg.window_edge() == pytest.approx(math.pi / 8, abs=1e-15)
+        cap = verify_lemma("sigmoid", noise, DISK, (math.pi / 4, 7 * math.pi / 8))[2]
+        assert cap == pytest.approx(SIGMOID_CAP_PI8, rel=1e-14)
+        assert verify_lemma("sigmoid", noise, DISK, (0.0,))[2] is None
         zero_only = _disk_config(noise, SurrogateSpec("sigmoid", 0.2), angles=(0.0,))
-        assert zero_only.window_edge() is None
+        assert zero_only.surrogate.sigma == 0.2
 
     def test_strong_noise_requires_sigmoid(self):
         noise = NoiseStrategy(kind="strong_massart_max", c_strong=0.5)
@@ -161,13 +163,11 @@ class TestConfigValidation:
             SurrogateSpec("sigmoid", 0.002),
             angles=(math.pi / 8,),
         )
-        assert strong.lemma_kind == "strong"
-        assert strong.noise_param == 0.5
+        assert verify_lemma("sigmoid", strong.noise, DISK, strong.angles)[:2] == ("strong", 0.5)
         ramp = _disk_config(
             NoiseStrategy(kind="none"), SurrogateSpec("ramp", 0.01), angles=(math.pi / 8,)
         )
-        assert ramp.lemma_kind == "ramp"
-        assert ramp.noise_param == 0.0
+        assert verify_lemma("ramp", ramp.noise, DISK, ramp.angles)[:2] == ("ramp", 0.0)
 
     def test_target_checked_against_marginal(self):
         cfg = _disk_config(
@@ -266,7 +266,7 @@ class TestEstimatorProperties:
         assert abs(lo.estimate - hi.estimate) <= 4.0 * joint
 
     def test_rotation_invariance_in_higher_dimension(self):
-        sigma = lemma_sigma_cap("sigmoid", GAUSS.profile, 0.3, math.pi / 4)
+        sigma = lemma_sigma_cap("sigmoid", GAUSS, 0.3, math.pi / 4)
         noise = NoiseStrategy(kind="constant", eta_bound=0.3)
         estimates = []
         for seed, target in ((41, np.array([1.0, 0.0, 0.0])), (42, np.array([0.0, -0.6, 0.8]))):
@@ -274,7 +274,7 @@ class TestEstimatorProperties:
                 surrogate=SurrogateSpec("sigmoid", sigma),
                 noise=noise,
                 marginal=MarginalSampler(kind="standard_gaussian", dim=3, seed=seed),
-                certified=GAUSS,
+                profile=GAUSS,
                 angles=(math.pi / 4,),
                 seed=seed,
             )
