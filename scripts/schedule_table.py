@@ -8,13 +8,14 @@ theoretical constants are unrunnable at desk scale.
 import argparse
 import sys
 
-from massart_halfspace import LearnParams, schedule_for
+from massart_halfspace import LearnParams, NoiseStrategy, schedule_for
 from massart_halfspace.distributions import PROFILE_BUILDERS
+from massart_halfspace.noise import MODEL_MASSART, MODEL_STRONG
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--model", choices=("massart", "strong_massart"), default="massart")
+    parser.add_argument("--model", choices=(MODEL_MASSART, MODEL_STRONG), default=MODEL_MASSART)
     parser.add_argument("--dim", type=int, default=10)
     parser.add_argument("--profile", default="disk_exact", choices=sorted(PROFILE_BUILDERS))
     parser.add_argument("--eps", type=float, nargs="+", default=[0.2, 0.1, 0.05])
@@ -28,10 +29,11 @@ def main(argv=None) -> int:
     for mode in ("theoretical", "practical"):
         for eps in args.eps:
             for param in args.noise_param:
-                kwargs = {"eta_bound": param} if args.model == "massart" else {"c_strong": param}
-                params = LearnParams(model=args.model, eps=eps, profile=profile,
-                                     mode=mode, **kwargs)
-                s = schedule_for(params, dim=args.dim)
+                if args.model == MODEL_MASSART:
+                    noise = NoiseStrategy(kind="constant", eta_bound=param)
+                else:
+                    noise = NoiseStrategy(kind="strong_massart_max", c_strong=param)
+                s = schedule_for(LearnParams(eps=eps, profile=profile, mode=mode), noise, dim=args.dim)
                 print(f"{mode:>11} {eps:>6} {param:>6} {float(s.steps):>12.3e}"
                       f" {s.step_size:>12.3e} {s.sigma:>12.3e} {s.selection_samples:>10}")
     return 0

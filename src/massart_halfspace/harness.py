@@ -36,8 +36,8 @@ from . import __version__
 from .distributions import PROFILE_BUILDERS, SAMPLER_KINDS, MarginalSampler, plane_density
 from .errors import BudgetExceededError, ConfigError, PsgdDivergenceError, UnderpoweredCheckError
 from .geometry import BoundedProfile, require_unit, sign_of
-from .learner import MODEL_MASSART, MODEL_STRONG, MODES, LearnParams, learn, plan_learning, select_hypothesis
-from .noise import NOISE_KINDS, MassartOracle, NoiseStrategy
+from .learner import MODES, LearnParams, candidate_step_sign, learn, plan_learning, select_hypothesis
+from .noise import MODEL_MASSART, MODEL_STRONG, NOISE_KINDS, MassartOracle, NoiseStrategy
 from .rng import derive_seed, make_rng
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
 from .verify import StructuralCheckConfig, verify_lemma, verify_stationary_gap
@@ -270,22 +270,21 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
             band=v["noise.band"], hash_seed=v["noise.hash_seed"],
         )
     profile = PROFILE_BUILDERS[v["profile"]]()
-    if v["learn.model"] == "auto":
-        v["learn.model"] = MODEL_STRONG if noise.kind == "strong_massart_max" else MODEL_MASSART
+    if v["command"] == "learn" and v["learn.model"] not in ("auto", noise.model):
+        raise ConfigError(f"field learn.model: noise kind {noise.kind!r} is learned by model "
+                          f"{noise.model!r}, got {v['learn.model']!r}")
+    v["learn.model"] = noise.model
     v["verify.strategies"] = v["verify.strategies"] or (noise.kind,)
     params, checks = None, []
     if v["command"] == "learn":
-        massart = v["learn.model"] == MODEL_MASSART
         with _section("learn section"):
             params = LearnParams(
-                model=v["learn.model"], eps=v["learn.eps"], profile=profile,
-                delta=v["learn.delta"], eta_bound=noise.eta_bound if massart else None,
-                c_strong=None if massart else noise.c_strong, mode=v["learn.mode"],
+                eps=v["learn.eps"], profile=profile, delta=v["learn.delta"], mode=v["learn.mode"],
                 budget=v["learn.budget"], record_every=v["learn.record_every"],
                 steps_override=v["learn.steps"], step_size_override=v["learn.step_size"],
                 sigma_override=v["learn.sigma"], selection_override=v["learn.selection"],
             )
-            plan_learning(params, noise.kind, marginal.dim)
+            plan_learning(params, noise, marginal.dim)
     if v["command"] == "verify":
         for si, kind in enumerate(v["verify.strategies"]):
             with _section("field verify.strategies"):
@@ -394,12 +393,12 @@ def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]
     noisy_err = select_hypothesis(report.chosen[None, :], batch.xs, batch.ys)[1]
     opt_est, opt_se = eval_oracle.opt_error(n_eval)
     excess = noisy_err - opt_est
-    if params.model == MODEL_MASSART:
+    if config.noise.model == MODEL_MASSART:
         ok = dis <= params.eps + 3.0 * dis_se
     else:
         noisy_se = math.sqrt(max(noisy_err * (1.0 - noisy_err), 0.0) / n_eval)
         ok = excess <= params.eps + 3.0 * math.hypot(noisy_se, opt_se)
-    sched, recorded = report.schedule, report.trajectory.step_indices
+    sched = report.schedule
     row = {
         "trial": trial, "seed": oracle_seed, "disagreement": dis, "disagreement_stderr": dis_se,
         "noisy_error": noisy_err, "opt_estimate": opt_est, "opt_stderr": opt_se,
@@ -409,8 +408,7 @@ def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]
         "chosen_sign": report.chosen_sign, "verdict": "pass" if ok else "fail",
         "wall_time_s": round(report.wall_time_s, 3),
     }
-    # candidates are the recorded iterates, then their negations
-    curves = [[trial, int(recorded[j % len(recorded)]), 1 if j < len(recorded) else -1, float(err)]
+    curves = [[trial, *candidate_step_sign(report.trajectory.step_indices, j), float(err)]
               for j, err in enumerate(report.candidate_errors)]
     return row, curves
 

@@ -8,6 +8,10 @@ stationarity at a suitable smoothing width forces a small angle to the
 target (up to sign), and selection converts "one candidate is good" into
 "the returned hypothesis is good".
 
+The learner reads its noise class from the oracle's NoiseStrategy
+(`strategy.model`): a Massart ceiling eta = eta_bound < 1/2, or for
+strong_massart_max the margin slope c = c_strong, needed in (0, 1].
+
 Two scheduling modes are provided.
 
 theoretical:
@@ -49,14 +53,12 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .geometry import BoundedProfile
-from .noise import BOUNDED_NOISE_KINDS, MassartOracle
+from .noise import MODEL_STRONG, MassartOracle, NoiseStrategy
 from .psgd import PsgdConfig, Trajectory, psgd_run
 from .rng import STREAM_SELECT
 from .surrogate import SurrogateSpec
-from .verify import lemma_sigma_cap
+from .verify import lemma_sigma_cap, verify_lemma
 
-MODEL_MASSART = "massart"
-MODEL_STRONG = "strong_massart"
 MODES = ("theoretical", "practical")
 
 PRACTICAL_STEPS_CAP = 1_000_000
@@ -68,14 +70,12 @@ DEFAULT_CANDIDATE_RECORDINGS = 50
 
 @dataclass(frozen=True)
 class LearnParams:
-    """What the learner is allowed to assume, and how hard to try."""
+    """What the learner is allowed to assume beyond the noise class, which
+    it reads from its oracle's strategy, and how hard to try."""
 
-    model: str
     eps: float
     profile: BoundedProfile
     delta: float = 0.1
-    eta_bound: float | None = None   # bounded regime ceiling, in [0, 1/2)
-    c_strong: float | None = None    # strong regime margin slope
     mode: str = "practical"
     budget: int | None = None        # refuse schedules whose T exceeds this
     record_every: int = 0            # 0 = auto (about 50 recordings)
@@ -85,24 +85,12 @@ class LearnParams:
     selection_override: int | None = None
 
     def __post_init__(self):
-        if self.model not in (MODEL_MASSART, MODEL_STRONG):
-            raise ValueError(f"unknown model {self.model!r}")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.model == MODEL_MASSART:
-            if self.eta_bound is None or not (0.0 <= self.eta_bound < 0.5):
-                raise ValueError(f"bounded regime needs eta_bound in [0, 1/2), got {self.eta_bound!r}")
-            if self.c_strong is not None:
-                raise ValueError("bounded regime must leave c_strong unset")
-        else:
-            if self.c_strong is None or not (0.0 < self.c_strong <= 1.0):
-                raise ValueError(f"strong regime needs c_strong in (0, 1], got {self.c_strong!r}")
-            if self.eta_bound is not None:
-                raise ValueError("strong regime must leave eta_bound unset")
         for name in ("steps_override", "selection_override"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -132,19 +120,6 @@ def _candidate_count(steps: int, record_every: int) -> int:
     return 2 * (steps // record_every + 1 + (steps % record_every != 0))
 
 
-def _auto_record_every(steps: int, requested: int) -> int:
-    if requested:
-        return requested
-    return max(1, math.ceil(steps / DEFAULT_CANDIDATE_RECORDINGS))
-
-
-def _check_budget(steps: int, budget: int | None) -> None:
-    if budget is not None and steps > budget:
-        raise BudgetExceededError(
-            f"scheduled iteration count {steps} exceeds the configured budget {budget}"
-        )
-
-
 def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq: float) -> int:
     """Hoeffding-style selection sample size; gap_sq is the squared
     resolution (eps*(1-2 eta))^2 or eps^2 the sample must distinguish."""
@@ -158,24 +133,28 @@ def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq:
     ))
 
 
-def schedule_for(params: LearnParams, dim: int) -> Schedule:
-    """Hyperparameters for the learner of params.model in dimension dim."""
+def schedule_for(params: LearnParams, noise: NoiseStrategy, dim: int) -> Schedule:
+    """Hyperparameters for learning under the noise class of noise in dimension dim."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     prof = params.profile
     U, R = prof.density_bound, prof.inner_radius
-    # Per regime: the lemma_sigma_cap family and its parameter, the gap
-    # (1 - 2 eta or c) and its exponent in T, the separation factor that
-    # scales the target angle and the selection resolution, and the
-    # hidden-constant factors C1(U, R), C2(U, R) of the theoretical schedule.
-    if params.model == MODEL_MASSART:
-        cap_kind, cap_param, power, gap_key = "sigmoid", params.eta_bound, 10, "eta_bound"
-        gap = separation = 1.0 - 2.0 * params.eta_bound
-        c1, c2 = (U / R) ** 12, R / U**2
-    else:
-        cap_kind, cap_param, power, gap_key = "strong", params.c_strong, 6, "c_strong"
-        gap, separation = params.c_strong, 1.0
+    # The sigma cap's lemma and its noise parameter (eta_bound or c_strong).
+    cap_kind, cap_param = verify_lemma("sigmoid", noise, prof, ())[:2]
+    # Per regime: the gap (1 - 2 eta or c) and its exponent in T, the
+    # separation factor that scales the target angle and the selection
+    # resolution, and the hidden-constant factors C1(U, R), C2(U, R) of the
+    # theoretical schedule.
+    if noise.model == MODEL_STRONG:
+        if noise.c_strong > 1.0:
+            raise ValueError(f"strong regime needs c_strong in (0, 1], got {noise.c_strong!r}")
+        power, gap_key = 6, "c_strong"
+        gap, separation = noise.c_strong, 1.0
         c1, c2 = U**12 / R**18, R**1.5 / U**2
+    else:
+        power, gap_key = 10, "eta_bound"
+        gap = separation = 1.0 - 2.0 * noise.eta_bound
+        c1, c2 = (U / R) ** 12, R / U**2
     theoretical = params.mode == "theoretical"
     # theoretical: half the budget to optimization, half to selection
     eps = params.eps / 2.0 if theoretical else params.eps
@@ -195,8 +174,10 @@ def schedule_for(params: LearnParams, dim: int) -> Schedule:
             beta = 1.0 / math.sqrt(steps)
         if params.steps_override is not None:
             steps = params.steps_override
-        _check_budget(steps, params.budget)
-        record_every = _auto_record_every(steps, params.record_every)
+        if params.budget is not None and steps > params.budget:
+            raise BudgetExceededError(
+                f"scheduled iteration count {steps} exceeds the configured budget {params.budget}")
+        record_every = params.record_every or max(1, math.ceil(steps / DEFAULT_CANDIDATE_RECORDINGS))
         return Schedule(
             steps=steps,
             step_size=params.step_size_override if params.step_size_override is not None else beta,
@@ -207,7 +188,7 @@ def schedule_for(params: LearnParams, dim: int) -> Schedule:
             sigma_cap=sigma_cap,
         )
     except ArithmeticError:  # an angle or resolution that underflows to 0, or a count past the float range
-        named = ", ".join(f"{key} = {getattr(params, key)!r}" for key in ("eps", gap_key, "delta"))
+        named = f"eps = {params.eps!r}, {gap_key} = {cap_param!r}, delta = {params.delta!r}"
         raise ValueError(f"{named} give a {params.mode} schedule too large to represent") from None
 
 
@@ -271,6 +252,13 @@ def excess_to_target_error(excess: float, eta_bound: float) -> float:
     return excess / (1.0 - 2.0 * eta_bound)
 
 
+def candidate_step_sign(step_indices: np.ndarray, j: int) -> tuple[int, int]:
+    """PSGD step and sign of candidate j of a trajectory recorded at
+    step_indices: the recorded iterates in step order, then their negations."""
+    k = len(step_indices)
+    return int(step_indices[j % k]), 1 if j < k else -1
+
+
 @dataclass(frozen=True)
 class LearnReport:
     chosen: np.ndarray
@@ -287,20 +275,16 @@ class LearnReport:
 
 
 def plan_learning(
-    params: LearnParams, noise_kind: str, dim: int, psgd_seed: int = 0
+    params: LearnParams, noise: NoiseStrategy, dim: int, psgd_seed: int = 0
 ) -> tuple[Schedule, PsgdConfig]:
     """The schedule and PSGD configuration learn() runs in dimension dim.
 
-    Raises ValueError if params.model cannot learn from noise_kind or PSGD
-    or the surrogate would reject the schedule, and BudgetExceededError if
-    it overruns params.budget. Nothing here depends on the trial, so a
-    caller can check a whole run before its first trial.
+    Raises ValueError if the schedule, PSGD or the surrogate rejects its
+    inputs, and BudgetExceededError if the schedule overruns params.budget.
+    Nothing here depends on the trial, so a caller can check a whole run
+    before its first trial.
     """
-    if params.model == MODEL_MASSART and noise_kind not in BOUNDED_NOISE_KINDS:
-        raise ValueError(f"model {MODEL_MASSART!r} cannot learn from noise kind {noise_kind!r}")
-    if params.model == MODEL_STRONG and noise_kind != "strong_massart_max":
-        raise ValueError(f"model {MODEL_STRONG!r} needs noise kind 'strong_massart_max', got {noise_kind!r}")
-    sched = schedule_for(params, dim)
+    sched = schedule_for(params, noise, dim)
     SurrogateSpec(kind="sigmoid", sigma=sched.sigma)  # validates the width
     config = PsgdConfig(
         steps=sched.steps, step_size=sched.step_size, seed=psgd_seed, record_every=sched.record_every
@@ -324,7 +308,7 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     """
     t0 = time.perf_counter()
     dim = oracle.marginal.dim
-    sched, config = plan_learning(params, oracle.strategy.kind, dim, psgd_seed)
+    sched, config = plan_learning(params, oracle.strategy, dim, psgd_seed)
     sigma = sched.sigma
 
     def examples():
@@ -336,15 +320,15 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
 
     def grad_fn(w, _rng):
         x, y = next(stream)
-        m = sum(map(mul, x, w))  # iterates stay unit norm, so this is the margin
+        m = math.fsum(map(mul, x, w))  # iterates stay unit norm, so this is the margin
         q = math.exp(-abs(m) / sigma)
         coef = -y * q / ((1.0 + q) ** 2 * sigma)
         return [xi * coef - wi * (coef * m) for xi, wi in zip(x, w)]
 
     trajectory = psgd_run(grad_fn, config, dim=dim)
 
-    # Positive block first, each block in step order: the first-argmin
-    # selection then prefers +w over -w and earlier steps over later ones.
+    # The layout of candidate_step_sign: the first-argmin selection then
+    # prefers +w over -w and earlier steps over later ones.
     candidates = np.vstack([trajectory.iterates, -trajectory.iterates])
     sel_oracle = oracle.spawn(STREAM_SELECT)
     n = sched.selection_samples
@@ -356,9 +340,7 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
             del sel  # dead before the next slab is drawn
 
     idx, err, errors = _select(candidates, slabs(), n)
-    k = trajectory.iterates.shape[0]
-    sign = 1 if idx < k else -1
-    step = int(trajectory.step_indices[idx % k])
+    step, sign = candidate_step_sign(trajectory.step_indices, idx)
 
     return LearnReport(
         chosen=candidates[idx],

@@ -27,6 +27,10 @@ from .rng import STREAM_FLIP, STREAM_OPT, STREAM_X, derive_seed, make_rng
 BOUNDED_NOISE_KINDS = ("none", "constant", "boundary_concentrated", "random_measurable")
 NOISE_KINDS = BOUNDED_NOISE_KINDS + ("strong_massart_max",)
 
+# The noise classes a learner is given: a Massart ceiling, or the strong model's margin slope.
+MODEL_MASSART = "massart"
+MODEL_STRONG = "strong_massart"
+
 
 @dataclass(frozen=True)
 class NoiseStrategy:
@@ -46,18 +50,21 @@ class NoiseStrategy:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        if self.kind == "strong_massart_max":
-            if not (math.isfinite(self.c_strong) and self.c_strong > 0.0):
-                raise ValueError(f"c_strong must be positive, got {self.c_strong!r}")
-        else:
-            if not (math.isfinite(self.eta_bound) and 0.0 <= self.eta_bound < 0.5):
-                raise ValueError(f"eta_bound must lie in [0, 1/2), got {self.eta_bound!r}")
+        if self.model == MODEL_STRONG and not (math.isfinite(self.c_strong) and self.c_strong > 0.0):
+            raise ValueError(f"c_strong must be positive, got {self.c_strong!r}")
+        if self.model == MODEL_MASSART and not (math.isfinite(self.eta_bound) and 0.0 <= self.eta_bound < 0.5):
+            raise ValueError(f"eta_bound must lie in [0, 1/2), got {self.eta_bound!r}")
         if self.kind == "boundary_concentrated" and not (
             math.isfinite(self.band) and self.band > 0.0
         ):
             raise ValueError(f"boundary_concentrated needs a positive band, got {self.band!r}")
         if self.kind == "random_measurable" and not 0 <= self.hash_seed < 2**64:
             raise ValueError(f"hash_seed must be a non-negative 64-bit integer, got {self.hash_seed!r}")
+
+    @property
+    def model(self) -> str:
+        """The noise class of this strategy: MODEL_STRONG for strong_massart_max, else MODEL_MASSART."""
+        return MODEL_STRONG if self.kind == "strong_massart_max" else MODEL_MASSART
 
 
 # Keyed 64-bit row hash: h starts at hash_seed ^ _HASH_KEY; each coordinate's

@@ -104,7 +104,10 @@ def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -
     for i in range(1, steps + 1):
         g = grad_oracle(w, rng)
         v = [wi - beta * gi for wi, gi in zip(w, g, strict=True)]
-        nv = math.sqrt(sum(map(mul, v, v)))
+        try:  # fsum, unlike sum, rounds alike on every Python version
+            nv = math.sqrt(math.fsum(map(mul, v, v)))
+        except OverflowError:  # finite squares whose sum passes the float range
+            nv = math.inf
         if not (nv > 0.0 and math.isfinite(nv)):
             detail = "zero-norm update" if nv == 0.0 else "non-finite gradient or update"
             raise PsgdDivergenceError(step=i, detail=detail)

@@ -19,8 +19,6 @@ STREAM_OPT = 2
 STREAM_PSGD = 3
 STREAM_SELECT = 4
 STREAM_VERIFY = 5
-STREAM_EVAL = 6
-STREAM_TARGET = 7
 
 _MAX_SEED = 2**64 - 1
 

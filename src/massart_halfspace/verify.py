@@ -41,7 +41,7 @@ import numpy as np
 from .distributions import MarginalSampler, PlaneDensity, plane_density
 from .errors import UnderpoweredCheckError
 from .geometry import BoundedProfile, require_unit, sign_of
-from .noise import NoiseStrategy, noise_rates
+from .noise import MODEL_STRONG, NoiseStrategy, noise_rates
 from .rng import STREAM_VERIFY, make_rng
 from .surrogate import SurrogateSpec, surrogate_derivative
 
@@ -113,7 +113,7 @@ def verify_lemma(
     eta_bound. The cap is the lemma cap at the tightest window edge
     min(a, pi - a) over the positive angles, None if no angle is positive.
     """
-    if noise.kind == "strong_massart_max":
+    if noise.model == MODEL_STRONG:
         lemma, param = "strong", noise.c_strong
     else:
         lemma, param = surrogate_kind, noise.eta_bound
@@ -163,7 +163,7 @@ class StructuralCheckConfig:
             raise ValueError(f"verify needs marginal dim >= 2, got dim = {self.marginal.dim!r}")
         if self.confidence_sigmas <= 0.0:
             raise ValueError(f"confidence_sigmas must be positive, got {self.confidence_sigmas!r}")
-        if self.noise.kind == "strong_massart_max" and self.surrogate.kind != "sigmoid":
+        if self.noise.model == MODEL_STRONG and self.surrogate.kind != "sigmoid":
             raise ValueError("the strong-noise floor is only stated for the sigmoid surrogate")
         lemma, _, cap = verify_lemma(self.surrogate.kind, self.noise, self.profile, self.angles)
         if cap is not None and self.surrogate.sigma > cap * (1.0 + 1e-12):

@@ -325,13 +325,15 @@ class TestConfigFromMapping:
                 "noise.c_strong": 0.5,
             }
         )
-        assert strong.params.model == "strong_massart"
+        assert strong.noise.model == strong.values["learn.model"] == "strong_massart"
         bounded = config_from_mapping(
             {"command": "learn", "noise.kind": "constant", "noise.eta_bound": 0.2}
         )
-        assert bounded.params.model == "massart"
+        assert bounded.noise.model == bounded.values["learn.model"] == "massart"
         with pytest.raises(ConfigError, match="learn.model"):
             config_from_mapping({"command": "learn", "learn.model": "agnostic"})
+        with pytest.raises(ConfigError, match="field learn.model: noise kind 'none' is learned by model 'massart'"):
+            config_from_mapping({"command": "learn", "learn.model": "strong_massart"})
 
     def test_min_pass_defaults_to_ninety_percent_ceiling(self):
         assert config_from_mapping({"command": "learn", "trials": 10}).values["eval.min_pass"] == 9
@@ -385,7 +387,7 @@ class TestLoadConfig:
         assert cfg.marginal.dim == 10
         assert cfg.noise.kind == "boundary_concentrated"
         assert cfg.noise.eta_bound == 0.4
-        assert cfg.params.model == "massart"
+        assert cfg.noise.model == "massart"
         assert cfg.values["eval.min_pass"] == 9
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES.iterdir()), ids=lambda p: p.name)
@@ -455,7 +457,36 @@ class TestMeasureDisagreement:
 # run(): learn
 
 
+# A standard-Gaussian learn run in d = 5 that takes well under a second.
+# From d = 3 on, a plain sum() of the learner's products can round
+# differently on Python 3.12+, which compensates it; the learner's dot
+# products are math.fsum, correctly rounded on every version, so this
+# golden learn.csv must hold on each supported interpreter.
+GOLDEN_FLAT = {
+    "command": "learn", "trials": 2, "base_seed": 90001,
+    "marginal.kind": "standard_gaussian", "marginal.dim": 5,
+    "noise.kind": "boundary_concentrated", "noise.eta_bound": 0.3, "noise.band": 0.3,
+    "learn.eps": 0.1, "learn.steps": 4000, "learn.step_size": 0.02, "learn.sigma": 0.25,
+    "learn.selection": 4000, "learn.record_every": 400, "eval.samples": 2000,
+}
+GOLDEN_LEARN_CSV = Path(__file__).resolve().parent / "golden" / "learn_gaussian_d5.csv"
+
+
+def _blank_wall_time(path: Path) -> str:
+    """The CSV at path with its wall_time_s values blanked."""
+    meta, header, rows = _read_artifact(path)
+    wall = header.index("wall_time_s")
+    out = io.StringIO()
+    out.write("".join(line + "\n" for line in meta))
+    csv.writer(out, lineterminator="\n").writerows([header, *([*row[:wall], "", *row[wall + 1:]] for row in rows)])
+    return out.getvalue()
+
+
 class TestRunLearn:
+    def test_learn_csv_matches_golden(self, tmp_path):
+        assert run(config_from_mapping(_flat(GOLDEN_FLAT, tmp_path))) == EXIT_OK
+        assert _blank_wall_time(tmp_path / "learn.csv") == GOLDEN_LEARN_CSV.read_text()
+
     def test_learn_artifacts_and_exit(self, tmp_path):
         cfg = config_from_mapping(_flat(LEARN_FLAT, tmp_path))
         assert run(cfg) == EXIT_OK
@@ -785,7 +816,7 @@ GRADCHECK_FLAT = {"command": "gradcheck", "gradcheck.cases": 5}
 BENCH_FLAT = {"command": "bench", "bench.samples": 5000, "marginal.dim": 4}
 
 # Malformed configs that must be rejected before any output. All but the
-# first four once ended in a raw traceback, in abort rows with exit 2, or in
+# first five once ended in a raw traceback, in abort rows with exit 2, or in
 # a run that exited 0 without checking its input; the last six, schedules
 # too large to represent, once gave a config error that named no key.
 MALFORMED = [
@@ -793,6 +824,7 @@ MALFORMED = [
     (LEARN_FLAT, {"eval.min_pass": 5}),
     (LEARN_FLAT, {"learn.mode": "fast"}),
     (LEARN_FLAT, {"base_seed": -1}),
+    (STRONG_FLAT, {"noise.c_strong": 1.5}),
     (LEARN_FLAT, {"eval.samples": 10}),
     (VERIFY_FLAT, {"verify.angles": 0}),
     (VERIFY_FLAT, {"verify.surrogate": "hinge"}),
@@ -825,8 +857,8 @@ MALFORMED = [
     (SELECTING_FLAT, {"learn.mode": "theoretical", "learn.delta": 1e-320}),
 ]
 MALFORMED_IDS = [
-    "min_pass_below_one", "min_pass_above_trials", "unknown_mode", "negative_seed",
-    *(",".join(f"{key}={value}" for key, value in override.items()) for _, override in MALFORMED[4:]),
+    "min_pass_below_one", "min_pass_above_trials", "unknown_mode", "negative_seed", "strong_slope_above_one",
+    *(",".join(f"{key}={value}" for key, value in override.items()) for _, override in MALFORMED[5:]),
 ]
 
 

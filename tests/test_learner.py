@@ -13,11 +13,13 @@ from massart_halfspace import (
     MarginalSampler,
     MassartOracle,
     NoiseStrategy,
+    SurrogateSpec,
     disk_profile,
     excess_to_target_error,
     gaussian_profile,
     learn,
     lemma_sigma_cap,
+    per_sample_gradient,
     schedule_for,
     select_hypothesis,
     sign_of,
@@ -28,67 +30,52 @@ from massart_halfspace.rng import STREAM_SELECT
 DISK = disk_profile()
 
 
-def _massart_params(**kw):
-    base = dict(model="massart", eps=0.1, profile=DISK, delta=0.1, eta_bound=0.3)
+def _params(**kw):
+    base = dict(eps=0.1, profile=DISK, delta=0.1)
     base.update(kw)
     return LearnParams(**base)
 
 
-def _strong_params(**kw):
-    base = dict(model="strong_massart", eps=0.1, profile=DISK, delta=0.1, c_strong=0.5)
-    base.update(kw)
-    return LearnParams(**base)
+def _massart(eta_bound=0.3):
+    return NoiseStrategy(kind="constant", eta_bound=eta_bound)
+
+
+def _strong(c_strong=0.5):
+    return NoiseStrategy(kind="strong_massart_max", c_strong=c_strong)
 
 
 class TestParamsValidation:
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            LearnParams(model="agnostic", eps=0.1, profile=DISK, eta_bound=0.1)
-
     def test_eps_delta_ranges(self):
         with pytest.raises(ValueError):
-            _massart_params(eps=0.0)
+            _params(eps=0.0)
         with pytest.raises(ValueError):
-            _massart_params(eps=1.0)
+            _params(eps=1.0)
         with pytest.raises(ValueError):
-            _massart_params(delta=0.0)
-
-    def test_bounded_regime_needs_eta_only(self):
-        with pytest.raises(ValueError):
-            LearnParams(model="massart", eps=0.1, profile=DISK)
-        with pytest.raises(ValueError):
-            _massart_params(eta_bound=0.5)
-        with pytest.raises(ValueError):
-            _massart_params(c_strong=0.5)
-        _massart_params(eta_bound=0.0)
+            _params(delta=0.0)
 
     def test_overrides_validated(self):
         for bad in ({"steps_override": 0}, {"selection_override": 0}, {"record_every": -1}):
             with pytest.raises(ValueError, match=next(iter(bad))):
-                _massart_params(**bad)
-        _massart_params(steps_override=1, selection_override=1, record_every=0)
+                _params(**bad)
+        _params(steps_override=1, selection_override=1, record_every=0)
 
-    def test_strong_regime_needs_slope_only(self):
-        with pytest.raises(ValueError):
-            LearnParams(model="strong_massart", eps=0.1, profile=DISK)
-        with pytest.raises(ValueError):
-            _strong_params(c_strong=0.0)
-        with pytest.raises(ValueError):
-            _strong_params(c_strong=1.5)
-        with pytest.raises(ValueError):
-            _strong_params(eta_bound=0.3)
-        _strong_params(c_strong=1.0)
+    def test_strong_regime_needs_slope_at_most_one(self):
+        # the strategy itself takes any positive slope; only the learner needs c <= 1
+        with pytest.raises(ValueError, match=r"c_strong in \(0, 1\], got 1.5"):
+            schedule_for(_params(), _strong(c_strong=1.5), 3)
+        schedule_for(_params(), _strong(c_strong=1.0), 3)
+        schedule_for(_params(), _massart(eta_bound=0.0), 3)
 
     def test_mode_checked(self):
         with pytest.raises(ValueError):
-            _massart_params(mode="exhaustive")
+            _params(mode="exhaustive")
 
 
 class TestTheoreticalSchedules:
     def test_bounded_regression_tuple(self):
         # frozen from standalone arithmetic on the disk constants
         # (U=4*pi, R=2, t=2) at d=10, eps=0.1, eta=0.3, delta=0.1
-        sched = schedule_for(_massart_params(mode="theoretical"), 10)
+        sched = schedule_for(_params(mode="theoretical"), _massart(), 10)
         assert float(sched.steps) == pytest.approx(3.4051335028632426e22, rel=1e-12)
         assert sched.step_size == pytest.approx(8.692675416002418e-20, rel=1e-12)
         assert sched.sigma == pytest.approx(5.006339173122589e-06, rel=1e-12)
@@ -99,7 +86,7 @@ class TestTheoreticalSchedules:
 
     def test_strong_regression_tuple(self):
         # frozen from standalone arithmetic at d=5, eps=0.1, c=0.5, delta=0.1
-        sched = schedule_for(_strong_params(mode="theoretical"), 5)
+        sched = schedule_for(_params(mode="theoretical"), _strong(), 5)
         assert sched.steps == 1785270633949164800
         assert sched.step_size == pytest.approx(2.3447607930408094e-17, rel=1e-12)
         assert sched.sigma == pytest.approx(6.596430138892129e-06, rel=1e-12)
@@ -110,33 +97,33 @@ class TestTheoreticalSchedules:
     def test_noise_gap_scaling(self):
         # T carries the gap to the -10th power: eta=0.4 has gap 0.2,
         # eta=0 has gap 1, so the ratio is 5^10
-        t_clean = schedule_for(_massart_params(eta_bound=0.0, mode="theoretical"), 4).steps
-        t_noisy = schedule_for(_massart_params(eta_bound=0.4, mode="theoretical"), 4).steps
+        t_clean = schedule_for(_params(mode="theoretical"), _massart(eta_bound=0.0), 4).steps
+        t_noisy = schedule_for(_params(mode="theoretical"), _massart(eta_bound=0.4), 4).steps
         assert t_noisy / t_clean == pytest.approx(5.0**10, rel=1e-12)
 
     def test_eps_scaling(self):
-        base = schedule_for(_massart_params(mode="theoretical"), 4)
-        half = schedule_for(_massart_params(eps=0.05, mode="theoretical"), 4)
+        base = schedule_for(_params(mode="theoretical"), _massart(), 4)
+        half = schedule_for(_params(eps=0.05, mode="theoretical"), _massart(), 4)
         assert half.steps / base.steps == pytest.approx(16.0, rel=1e-12)
         # sigma halves exactly up to the sin() in the cap
         assert half.sigma / base.sigma == pytest.approx(0.5, rel=1e-6)
 
     def test_strong_slope_scaling(self):
-        base = schedule_for(_strong_params(mode="theoretical"), 5)
-        halved = schedule_for(_strong_params(c_strong=0.25, mode="theoretical"), 5)
+        base = schedule_for(_params(mode="theoretical"), _strong(), 5)
+        halved = schedule_for(_params(mode="theoretical"), _strong(c_strong=0.25), 5)
         assert halved.steps / base.steps == pytest.approx(64.0, rel=1e-12)
         # selection only grows through ln(T), not through the slope itself
         assert halved.selection_samples / base.selection_samples <= 1.15
 
     def test_dim_scaling_is_linear(self):
-        t1 = schedule_for(_massart_params(mode="theoretical"), 3).steps
-        t2 = schedule_for(_massart_params(mode="theoretical"), 6).steps
+        t1 = schedule_for(_params(mode="theoretical"), _massart(), 3).steps
+        t2 = schedule_for(_params(mode="theoretical"), _massart(), 6).steps
         assert t2 / t1 == pytest.approx(2.0, rel=1e-12)
 
 
 class TestPracticalSchedules:
     def test_bounded_formulas(self):
-        sched = schedule_for(_massart_params(), 2)
+        sched = schedule_for(_params(), _massart(), 2)
         # hand arithmetic: 2e5*2/(0.1^2 * 0.4^2) = 2.5e8, capped at 1e6
         assert sched.steps == 1_000_000
         assert sched.step_size == pytest.approx(1.0 / math.sqrt(1_000_000), rel=1e-15)
@@ -147,38 +134,39 @@ class TestPracticalSchedules:
         assert sched.selection_samples == expected_n
 
     def test_uncapped_step_count(self):
-        sched = schedule_for(_massart_params(eps=0.9, eta_bound=0.0), 1)
+        sched = schedule_for(_params(eps=0.9), _massart(eta_bound=0.0), 1)
         assert sched.steps == math.ceil(2.0e5 / 0.9**2)
 
     def test_strong_uses_slope_in_place_of_gap(self):
-        sched = schedule_for(_strong_params(eps=0.9), 1)
+        sched = schedule_for(_params(eps=0.9), _strong(), 1)
         assert sched.steps == math.ceil(2.0e5 / (0.9**2 * 0.5**2))
         expected_n = math.ceil(50.0 * math.log(sched.candidate_count / 0.1) / 0.9**2)
         assert sched.selection_samples == expected_n
 
     def test_dispatch_matches_model(self):
-        regimes = ((_massart_params(), "sigmoid", 0.3), (_strong_params(), "strong", 0.5))
-        for params, cap_kind, cap_param in regimes:
-            sched = schedule_for(params, 3)
+        regimes = ((_massart(), "sigmoid", 0.3), (_strong(), "strong", 0.5))
+        for noise, cap_kind, cap_param in regimes:
+            sched = schedule_for(_params(), noise, 3)
             assert sched.sigma_cap == lemma_sigma_cap(cap_kind, DISK, cap_param, sched.theta_target)
         with pytest.raises(ValueError):
-            schedule_for(_massart_params(), 0)
+            schedule_for(_params(), _massart(), 0)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            schedule_for(_massart_params(budget=500_000), 2)
-        sched = schedule_for(_massart_params(budget=500_000, steps_override=1000), 2)
+            schedule_for(_params(budget=500_000), _massart(), 2)
+        sched = schedule_for(_params(budget=500_000, steps_override=1000), _massart(), 2)
         assert sched.steps == 1000
 
     def test_overrides_take_precedence(self):
         sched = schedule_for(
-            _massart_params(
+            _params(
                 steps_override=4000,
                 step_size_override=0.02,
                 sigma_override=0.3,
                 selection_override=777,
                 record_every=400,
             ),
+            _massart(),
             2,
         )
         assert sched.steps == 4000
@@ -189,22 +177,23 @@ class TestPracticalSchedules:
         assert sched.candidate_count == 2 * 11
 
     @pytest.mark.parametrize("mode", ["practical", "theoretical"])
-    @pytest.mark.parametrize("make, key, value", [
-        (_massart_params, "eps", 1e-200),
-        (_strong_params, "c_strong", 1e-200),
-        (_massart_params, "eps", 1e-160),
-        (_strong_params, "eps", 1e-160),
-        (_massart_params, "delta", 1e-320),
-        (_strong_params, "delta", 1e-320),
+    @pytest.mark.parametrize("noise, key, value", [
+        (_massart(), "eps", 1e-200),
+        (_strong(c_strong=1e-200), "c_strong", 1e-200),
+        (_massart(), "eps", 1e-160),
+        (_strong(), "eps", 1e-160),
+        (_massart(), "delta", 1e-320),
+        (_strong(), "delta", 1e-320),
     ])
-    def test_unrepresentable_schedule_names_its_parameter(self, mode, make, key, value):
+    def test_unrepresentable_schedule_names_its_parameter(self, mode, noise, key, value):
         # These once raised ZeroDivisionError or OverflowError: a resolution
         # that underflows to zero, or a count past the float range.
+        params = _params(mode=mode, **({} if key == "c_strong" else {key: value}))
         with pytest.raises(ValueError, match=f"{key} = {value!r}.* too large to represent"):
-            schedule_for(make(mode=mode, **{key: value}), 10)
+            schedule_for(params, noise, 10)
 
     def test_auto_record_every_targets_fifty_recordings(self):
-        sched = schedule_for(_massart_params(steps_override=1234), 2)
+        sched = schedule_for(_params(steps_override=1234), _massart(), 2)
         assert sched.record_every == math.ceil(1234 / 50)
 
 
@@ -340,8 +329,7 @@ def _small_learn_setup(kind="constant", seed=500, **strategy_kw):
         marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=seed),
         seed=seed,
     )
-    params = _massart_params(
-        eta_bound=0.2,
+    params = _params(
         steps_override=3000,
         step_size_override=0.02,
         sigma_override=0.25,
@@ -407,23 +395,21 @@ class TestLearnPipeline:
         untracked = learn(_small_learn_setup(eta_bound=0.2)[0], params, psgd_seed=1)
         assert np.array_equal(report.candidate_errors, untracked.candidate_errors)
 
-    def test_strategy_model_compatibility(self):
-        oracle, params, _ = _small_learn_setup(kind="strong_massart_max", c_strong=0.5)
-        with pytest.raises(ValueError):
-            learn(oracle, params)
-
-        bounded_oracle, _, _ = _small_learn_setup(eta_bound=0.2)
-        strong_params = _strong_params(
-            steps_override=100, selection_override=100, sigma_override=0.25
-        )
-        with pytest.raises(ValueError):
-            learn(bounded_oracle, strong_params)
+    def test_noise_class_comes_from_the_oracle(self):
+        # the same params learn under the sigma cap of each oracle's noise class
+        for strategy_kw, cap_kind, cap_param in (
+            ({"eta_bound": 0.2}, "sigmoid", 0.2),
+            ({"kind": "strong_massart_max", "c_strong": 0.5}, "strong", 0.5),
+        ):
+            oracle, params, _ = _small_learn_setup(**strategy_kw)
+            sched = learn(oracle, dataclasses.replace(params, steps_override=100)).schedule
+            assert sched.sigma_cap == lemma_sigma_cap(cap_kind, DISK, cap_param, sched.theta_target)
 
     def test_zero_selection_sample_rejected(self):
         # n = 0 would divide by zero and pick candidate 0 from all-NaN errors
         oracle, _, _ = _small_learn_setup(eta_bound=0.2)
         with pytest.raises(ValueError, match="selection_override"):
-            learn(oracle, _massart_params(eta_bound=0.2, selection_override=0))
+            learn(oracle, _params(selection_override=0))
 
     def test_strong_regime_runs(self):
         strategy = NoiseStrategy(kind="strong_massart_max", c_strong=0.5)
@@ -434,7 +420,7 @@ class TestLearnPipeline:
             marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=501),
             seed=501,
         )
-        params = _strong_params(
+        params = _params(
             steps_override=3000,
             step_size_override=0.02,
             sigma_override=0.25,
@@ -447,38 +433,36 @@ class TestLearnPipeline:
 
 
 def test_step_matches_numpy_reference_step():
-    # The learner's float-list step against the elementwise numpy step it
-    # replaces: only the summation order of the two dot products differs.
+    # The learner's float-list step against a projected step on the
+    # surrogate module's sigmoid gradient, the kernel the gradcheck command
+    # certifies: only rounding may differ.
+    strategy = NoiseStrategy(kind="boundary_concentrated", eta_bound=0.4, band=0.2)
+
     def make_oracle():
         target = np.ones(10) / math.sqrt(10.0)
         return MassartOracle(
             target=target,
-            strategy=NoiseStrategy(kind="boundary_concentrated", eta_bound=0.4, band=0.2),
+            strategy=strategy,
             marginal=MarginalSampler(kind="standard_gaussian", dim=10, seed=77),
             seed=77,
         )
 
     steps, record_every = 5000, 100
     params = LearnParams(
-        model="massart", eps=0.05, profile=gaussian_profile(), eta_bound=0.4,
+        eps=0.05, profile=gaussian_profile(),
         steps_override=steps, record_every=record_every, selection_override=100,
     )
-    sched = schedule_for(params, 10)
+    sched = schedule_for(params, strategy, 10)
     assert sched.sigma == 0.25 and sched.step_size == 1e-3
     report = learn(make_oracle(), params)
 
     batch = make_oracle().draw(_STREAM_CHUNK)
-    sigma, beta = sched.sigma, sched.step_size
+    spec, beta = SurrogateSpec(kind="sigmoid", sigma=sched.sigma), sched.step_size
     w = np.zeros(10)
     w[0] = 1.0
     indices, iterates = [0], [w]
     for i in range(1, steps + 1):
-        x, y = batch.xs[i - 1], batch.ys[i - 1]
-        m = float(x @ w)
-        q = math.exp(-abs(m) / sigma)
-        coef = -y * q / ((1.0 + q) ** 2 * sigma)
-        g = x * coef - w * (coef * m)
-        v = w - beta * g
+        v = w - beta * per_sample_gradient(w, batch.xs[i - 1], batch.ys[i - 1], spec)
         w = v / math.sqrt(float(v @ v))
         if i % record_every == 0:
             indices.append(i)

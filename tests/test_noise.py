@@ -31,6 +31,9 @@ class TestStrategyValidation:
     def test_menu(self):
         assert BOUNDED_NOISE_KINDS == ("none", "constant", "boundary_concentrated", "random_measurable")
         assert NOISE_KINDS == BOUNDED_NOISE_KINDS + ("strong_massart_max",)
+        models = {kind: NoiseStrategy(kind=kind, band=0.1).model for kind in NOISE_KINDS}
+        assert models == {**dict.fromkeys(BOUNDED_NOISE_KINDS, noise.MODEL_MASSART),
+                          "strong_massart_max": noise.MODEL_STRONG}
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

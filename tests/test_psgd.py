@@ -91,9 +91,11 @@ class TestSingleRun:
         traj2 = psgd_run(_zero_oracle, PsgdConfig(steps=8, step_size=0.1, record_every=4), w0=E1_3)
         assert np.array_equal(traj2.step_indices, [0, 4, 8])
 
-    def test_nonfinite_gradient_aborts_with_step(self):
+    # 1e155 is finite, but the squares of the update it gives sum past the float range
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, 1e155])
+    def test_nonfinite_gradient_aborts_with_step(self, fill):
         def explode(w, rng):
-            return np.full(len(w), np.nan)
+            return np.full(len(w), fill)
 
         with pytest.raises(PsgdDivergenceError) as info:
             psgd_run(explode, PsgdConfig(steps=5, step_size=0.1), w0=E1_3)

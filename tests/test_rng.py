@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from massart_halfspace import derive_seed, make_rng
 from massart_halfspace.rng import (
-    STREAM_EVAL,
     STREAM_FLIP,
     STREAM_PSGD,
     STREAM_X,
@@ -69,9 +68,9 @@ class TestDeterminism:
 
     def test_matches_manual_seed_sequence(self):
         manual = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=42, spawn_key=(3, STREAM_EVAL)))
+            np.random.Philox(np.random.SeedSequence(entropy=42, spawn_key=(3, 6)))
         )
-        assert np.array_equal(make_rng(42, 3, STREAM_EVAL).random(32), manual.random(32))
+        assert np.array_equal(make_rng(42, 3, 6).random(32), manual.random(32))
 
 
 class TestDeriveSeed:
