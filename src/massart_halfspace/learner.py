@@ -318,12 +318,12 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
 
     stream = examples()
 
-    def grad_fn(w, _rng):
+    def grad_fn(v, s, _rng):
         x, y = next(stream)
-        m = math.fsum(map(mul, x, w))  # iterates stay unit norm, so this is the margin
+        m = math.fsum(map(mul, x, v)) * s  # the margin <w, x> of the unit iterate w = s * v
         q = math.exp(-abs(m) / sigma)
         coef = -y * q / ((1.0 + q) ** 2 * sigma)
-        return [xi * coef - wi * (coef * m) for xi, wi in zip(x, w)]
+        return -coef * m, coef, x  # the gradient coef * (x - m * w)
 
     trajectory = psgd_run(grad_fn, config, dim=dim)
 

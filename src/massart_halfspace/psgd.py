@@ -4,7 +4,8 @@ Each step takes a stochastic gradient g at the current unit iterate w,
 moves to v = w - step_size * g, and projects back to the sphere,
 w <- v / ||v||. Because the surrogate gradients are orthogonal to w, the
 pre-projection norm satisfies ||v|| >= 1, so the projection never blows a
-step up.
+step up. The single run takes g in rank-one form p * w + q * x, the shape
+of a margin loss's gradient coef * (x - <w, x> * w), so a step is one list.
 
 For a smooth bounded objective the guarantees are parameter-free in
 shape: with step_size sqrt(2 * value_range / (smoothness * grad_sq_bound
@@ -85,25 +86,28 @@ def _start_iterate(w0, dim_hint: int | None) -> np.ndarray:
 def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -> Trajectory:
     """Run projected SGD and return the recorded trajectory.
 
-    The iterate is a list of Python floats and each step is plain float
-    arithmetic, cheaper than numpy calls on vectors this short.
-    grad_oracle(w, rng) receives that list and must return a finite
-    gradient as any sequence of d floats; another length raises
-    ValueError. The rng is a dedicated Philox substream of config.seed,
+    The loop keeps the unprojected vector v as a list of Python floats
+    and its inverse norm s, so the unit iterate is w = s * v; each step is
+    plain float arithmetic, cheaper than numpy calls on vectors this
+    short. grad_oracle(v, s, rng) must return a finite gradient as
+    (p, q, x), meaning g = p * w + q * x with x any sequence of d floats
+    (another length raises ValueError); a generic gradient g is
+    (0.0, 1.0, g). The rng is a dedicated Philox substream of config.seed,
     advanced only by the oracle. A non-finite or zero-norm update aborts
     with PsgdDivergenceError carrying the offending step index.
     """
-    w = _start_iterate(w0, dim).tolist()
+    v, s = _start_iterate(w0, dim).tolist(), 1.0
     rng = make_rng(config.seed, STREAM_PSGD)
     steps, beta = config.steps, config.step_size
     record = _recorded_steps(steps, config.record_every)
-    iterates = np.empty((record.shape[0], len(w)))
-    iterates[0] = w
+    iterates = np.empty((record.shape[0], len(v)))
+    iterates[0] = v
     slot = 1
     next_record = int(record[1]) if record.shape[0] > 1 else -1
     for i in range(1, steps + 1):
-        g = grad_oracle(w, rng)
-        v = [wi - beta * gi for wi, gi in zip(w, g, strict=True)]
+        p, q, x = grad_oracle(v, s, rng)
+        a, b = (1.0 - beta * p) * s, -beta * q  # w - beta * g = a * v + b * x
+        v = [a * vi + b * xi for vi, xi in zip(v, x, strict=True)]
         try:  # fsum, unlike sum, rounds alike on every Python version
             nv = math.sqrt(math.fsum(map(mul, v, v)))
         except OverflowError:  # finite squares whose sum passes the float range
@@ -111,9 +115,9 @@ def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -
         if not (nv > 0.0 and math.isfinite(nv)):
             detail = "zero-norm update" if nv == 0.0 else "non-finite gradient or update"
             raise PsgdDivergenceError(step=i, detail=detail)
-        w = [vi / nv for vi in v]
+        s = 1.0 / nv
         if i == next_record:
-            iterates[slot] = w
+            iterates[slot] = [vi / nv for vi in v]
             slot += 1
             next_record = int(record[slot]) if slot < record.shape[0] else -1
     return Trajectory(step_indices=record, iterates=iterates)
@@ -122,11 +126,11 @@ def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -
 def psgd_run_batch(batch_oracle, config: PsgdConfig, w0s: np.ndarray) -> Trajectory:
     """Lockstep projected SGD from many starts at once.
 
-    Applies the exact update of `psgd_run` to every row of w0s in
+    Applies the projected step of `psgd_run` to every row of w0s in
     parallel via array arithmetic; batch_oracle(W, rng) must return one
-    gradient per row. Intended for experiment throughput (many seeds or
-    trials of the same configuration); the recorded `iterates` have shape
-    (k, m, d) for m starts.
+    full gradient per row of W. Intended for experiment throughput (many
+    seeds or trials of the same configuration); the recorded `iterates`
+    have shape (k, m, d) for m starts.
     """
     W = np.asarray(w0s, dtype=np.float64).copy()
     if W.ndim != 2:

@@ -190,7 +190,6 @@ class AngleGapResult:
 @dataclass(frozen=True)
 class StructuralReport:
     lemma_kind: str
-    noise_kind: str
     floor: float
     results: tuple[AngleGapResult, ...] = field(default_factory=tuple)
 
@@ -348,9 +347,4 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
     for i, theta in enumerate(config.angles):
         rng = make_rng(config.seed, STREAM_VERIFY, i)
         results.append(_estimate_angle(config, target, theta, plane, floor, rng))
-    return StructuralReport(
-        lemma_kind=lemma,
-        noise_kind=config.noise.kind,
-        floor=floor,
-        results=tuple(results),
-    )
+    return StructuralReport(lemma_kind=lemma, floor=floor, results=tuple(results))

@@ -18,8 +18,8 @@ from massart_halfspace import (
 E1_3 = np.array([1.0, 0.0, 0.0])
 
 
-def _zero_oracle(w, rng):
-    return np.zeros_like(w)
+def _zero_oracle(v, s, rng):
+    return 0.0, 1.0, np.zeros(len(v))
 
 
 class TestConfigValidation:
@@ -50,7 +50,8 @@ class TestSingleRun:
     def test_one_step_hand_trace(self):
         # hand trace: v = e1 - 1.0 * e2, projected back to the sphere
         e2 = np.array([0.0, 1.0, 0.0])
-        traj = psgd_run(lambda w, rng: e2, PsgdConfig(steps=1, step_size=1.0), w0=E1_3)
+        cfg = PsgdConfig(steps=1, step_size=1.0)
+        traj = psgd_run(lambda v, s, rng: (0.0, 1.0, e2), cfg, w0=E1_3)
         expected = (E1_3 - e2) / math.sqrt(2.0)
         assert np.allclose(traj.final(), expected, atol=1e-15)
 
@@ -67,8 +68,8 @@ class TestSingleRun:
             psgd_run(_zero_oracle, PsgdConfig(steps=1, step_size=0.1), w0=np.array([1.0, 1.0]))
 
     def test_deterministic_across_runs(self):
-        def noisy(w, rng):
-            return rng.standard_normal(len(w))
+        def noisy(v, s, rng):
+            return 0.0, 1.0, rng.standard_normal(len(v))
 
         cfg = PsgdConfig(steps=50, step_size=0.05, seed=7)
         a = psgd_run(noisy, cfg, w0=E1_3)
@@ -78,12 +79,38 @@ class TestSingleRun:
         assert not np.array_equal(a.iterates, c.iterates)
 
     def test_unit_norm_invariant(self):
-        def noisy(w, rng):
-            return rng.standard_normal(len(w))
+        def noisy(v, s, rng):
+            return 0.0, 1.0, rng.standard_normal(len(v))
 
         traj = psgd_run(noisy, PsgdConfig(steps=200, step_size=0.3, seed=3), w0=E1_3)
         norms = np.linalg.norm(traj.iterates, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+    def test_rank_one_gradient_matches_numpy_reference(self):
+        # p != 0 gives every gradient a part along w, so the carried scale
+        # s = 1/||v|| must track it; compare with w <- (w - b g)/||w - b g||
+        steps, beta, record_every = 5000, 0.05, 50
+        draws = np.random.default_rng(3)
+        ps = draws.uniform(-2.0, 2.0, steps).tolist()
+        qs = draws.uniform(-1.0, 1.0, steps).tolist()
+        xs = draws.standard_normal((steps, 4))
+        calls = iter(range(steps))
+
+        def rank_one(v, s, rng):
+            i = next(calls)
+            return ps[i], qs[i], xs[i].tolist()
+
+        start = np.array([0.5, 0.5, 0.5, 0.5])
+        cfg = PsgdConfig(steps=steps, step_size=beta, record_every=record_every)
+        traj = psgd_run(rank_one, cfg, w0=start)
+        w, expected = start, [start]
+        for i in range(steps):
+            v = w - beta * (ps[i] * w + qs[i] * xs[i])
+            w = v / np.linalg.norm(v)
+            if (i + 1) % record_every == 0:
+                expected.append(w)
+        assert traj.iterates.shape == (steps // record_every + 1, 4)
+        assert np.max(np.abs(traj.iterates - np.array(expected))) <= 1e-12
 
     def test_record_every_thins_and_keeps_final(self):
         traj = psgd_run(_zero_oracle, PsgdConfig(steps=10, step_size=0.1, record_every=4), w0=E1_3)
@@ -94,8 +121,8 @@ class TestSingleRun:
     # 1e155 is finite, but the squares of the update it gives sum past the float range
     @pytest.mark.parametrize("fill", [np.nan, np.inf, 1e155])
     def test_nonfinite_gradient_aborts_with_step(self, fill):
-        def explode(w, rng):
-            return np.full(len(w), fill)
+        def explode(v, s, rng):
+            return 0.0, 1.0, np.full(len(v), fill)
 
         with pytest.raises(PsgdDivergenceError) as info:
             psgd_run(explode, PsgdConfig(steps=5, step_size=0.1), w0=E1_3)
@@ -105,18 +132,18 @@ class TestSingleRun:
     def test_wrong_length_gradient_raises_at_first_step(self, length):
         calls = []
 
-        def misshapen(w, rng):
-            calls.append(len(w))
-            return [0.1] * length
+        def misshapen(v, s, rng):
+            calls.append(len(v))
+            return 0.0, 1.0, [0.1] * length
 
         with pytest.raises(ValueError):
             psgd_run(misshapen, PsgdConfig(steps=5, step_size=0.1), w0=E1_3)
         assert calls == [3]
 
     def test_zero_update_aborts(self):
-        def radial(w, rng):
-            w = np.asarray(w)
-            return w / 0.1  # v = w - 0.1 * (w/0.1) = 0
+        def radial(v, s, rng):
+            w = s * np.asarray(v)
+            return 0.0, 1.0, w / 0.1  # v = w - 0.1 * (w/0.1) = 0
 
         with pytest.raises(PsgdDivergenceError):
             psgd_run(radial, PsgdConfig(steps=1, step_size=0.1), w0=E1_3)
@@ -124,11 +151,11 @@ class TestSingleRun:
     def test_orthogonal_gradients_never_shrink_preprojection(self):
         # with gradients orthogonal to w the projection only ever
         # contracts, so a huge step size still cannot diverge
-        def ortho(w, rng):
-            w = np.asarray(w)
+        def ortho(v, s, rng):
+            w = s * np.asarray(v)
             g = rng.standard_normal(w.shape[0])
             g -= (g @ w) * w
-            return 100.0 * g
+            return 0.0, 1.0, 100.0 * g
 
         traj = psgd_run(ortho, PsgdConfig(steps=100, step_size=1.0, seed=5), w0=E1_3)
         assert np.all(np.isfinite(traj.iterates))
@@ -139,8 +166,8 @@ class TestBatchRun:
         def batch_oracle(W, rng):
             return np.tile(np.array([0.0, 1.0, 0.0]), (W.shape[0], 1)) * 0.3
 
-        def single_oracle(w, rng):
-            return np.array([0.0, 1.0, 0.0]) * 0.3
+        def single_oracle(v, s, rng):
+            return 0.0, 1.0, np.array([0.0, 1.0, 0.0]) * 0.3
 
         starts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         cfg = PsgdConfig(steps=20, step_size=0.2, seed=11, record_every=5)
@@ -222,9 +249,9 @@ class TestMeanStationarity:
             m = float(a @ w)
             return -2.0 * m * (a - m * w)
 
-        def oracle(w, rng):
-            w = np.asarray(w)
-            return true_grad(w) + 0.1 * rng.standard_normal(3)
+        def oracle(v, s, rng):
+            w = s * np.asarray(v)
+            return 0.0, 1.0, true_grad(w) + 0.1 * rng.standard_normal(3)
 
         beta = theoretical_step_size(L, B, R, T)
         traj = psgd_run(oracle, PsgdConfig(steps=T, step_size=beta, seed=17), w0=E1_3)
@@ -239,10 +266,10 @@ class TestMeanStationarity:
         # gradient descent on f(w) = 1 - <a, w>^2 should reduce the value
         a = np.array([0.0, 1.0, 0.0])
 
-        def oracle(w, rng):
-            w = np.asarray(w)
+        def oracle(v, s, rng):
+            w = s * np.asarray(v)
             m = float(a @ w)
-            return -2.0 * m * (a - m * w) + 0.01 * rng.standard_normal(3)
+            return 0.0, 1.0, -2.0 * m * (a - m * w) + 0.01 * rng.standard_normal(3)
 
         start = np.array([0.8, 0.6, 0.0])
         traj = psgd_run(oracle, PsgdConfig(steps=300, step_size=0.05, seed=seed), w0=start)
