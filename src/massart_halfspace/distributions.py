@@ -102,18 +102,13 @@ class MarginalSampler:
         d = self.dim
         if self.kind == "standard_gaussian":
             return rng.standard_normal((n, d))
-        if self.kind in ("uniform_ball_isotropic", "uniform_disk_2d"):
-            radius = support_radius(self.kind, d)
-            g = rng.standard_normal((n, d))
-            norms = np.linalg.norm(g, axis=1)
-            norms[norms == 0.0] = 1.0
-            radii = radius * rng.random(n) ** (1.0 / d)
-            return g * (radii / norms)[:, None]
-        # uniform_sphere_scaled
-        radius = support_radius(self.kind, d)
+        # A Gaussian direction at the radius, times U^(1/d) for the ball and the disk.
         g = rng.standard_normal((n, d))
         norms = np.linalg.norm(g, axis=1)
         norms[norms == 0.0] = 1.0
+        radius = support_radius(self.kind, d)
+        if self.kind != "uniform_sphere_scaled":
+            radius = radius * rng.random(n) ** (1.0 / d)
         return g * (radius / norms)[:, None]
 
 

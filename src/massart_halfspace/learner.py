@@ -54,7 +54,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .geometry import BoundedProfile
 from .noise import MODEL_STRONG, MassartOracle, NoiseStrategy
-from .psgd import PsgdConfig, Trajectory, psgd_run
+from .psgd import PsgdConfig, Trajectory, psgd_run, recorded_count
 from .rng import STREAM_SELECT
 from .surrogate import SurrogateSpec
 from .verify import lemma_sigma_cap, verify_lemma
@@ -111,13 +111,8 @@ class Schedule:
 
     @property
     def candidate_count(self) -> int:
-        return _candidate_count(self.steps, self.record_every)
-
-
-def _candidate_count(steps: int, record_every: int) -> int:
-    """Recorded iterates of a PSGD run (step 0, every record_every-th step,
-    the last step), each with its negation, counted without listing them."""
-    return 2 * (steps // record_every + 1 + (steps % record_every != 0))
+        """Recorded iterates of the PSGD run, each with its negation."""
+        return 2 * recorded_count(self.steps, self.record_every)
 
 
 def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq: float) -> int:
@@ -127,7 +122,7 @@ def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq:
         return params.selection_override
     if params.mode == "theoretical":
         return max(2, math.ceil(math.log(steps / params.delta) / gap_sq))
-    candidates = _candidate_count(steps, record_every)
+    candidates = 2 * recorded_count(steps, record_every)
     return max(2, math.ceil(
         PRACTICAL_SELECTION_SCALE * math.log(candidates / params.delta) / gap_sq
     ))
@@ -238,6 +233,8 @@ def select_hypothesis(
     n = xs.shape[0]
     if n == 0:
         raise ValueError("selection sample is empty")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
     return _select(candidates, ((xs[lo : lo + chunk], ys[lo : lo + chunk]) for lo in range(0, n, chunk)), n)
 
 

@@ -6,6 +6,9 @@ w <- v / ||v||. Because the surrogate gradients are orthogonal to w, the
 pre-projection norm satisfies ||v|| >= 1, so the projection never blows a
 step up. The single run takes g in rank-one form p * w + q * x, the shape
 of a margin loss's gradient coef * (x - <w, x> * w), so a step is one list.
+Both runs record step 0, every record_every-th step, and the last step
+when record_every does not divide steps: recorded_count(steps,
+record_every) iterates, each stored when its segment of steps ends.
 
 For a smooth bounded objective the guarantees are parameter-free in
 shape: with step_size sqrt(2 * value_range / (smoothness * grad_sq_bound
@@ -49,8 +52,7 @@ class PsgdConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded iterates: step 0 (the start), every record_every-th step,
-    and always the final step."""
+    """The iterates of a run at its recorded steps."""
 
     step_indices: np.ndarray  # (k,) int64, strictly increasing, starts at 0
     iterates: np.ndarray      # (k, d), rows have unit norm
@@ -62,25 +64,26 @@ class Trajectory:
         return self.iterates[-1]
 
 
+def recorded_count(steps: int, record_every: int) -> int:
+    """Number of iterates a run records (see the module docstring)."""
+    return steps // record_every + 1 + (steps % record_every != 0)
+
+
 def _recorded_steps(steps: int, record_every: int) -> np.ndarray:
-    idx = list(range(0, steps + 1, record_every))
-    if idx[-1] != steps:
-        idx.append(steps)
-    return np.asarray(idx, dtype=np.int64)
+    idx = np.arange(recorded_count(steps, record_every), dtype=np.int64) * record_every
+    idx[-1] = steps
+    return idx
 
 
-def _start_iterate(w0, dim_hint: int | None) -> np.ndarray:
-    if w0 is None:
-        if dim_hint is None:
-            raise ValueError("w0 is required when the dimension cannot be inferred")
-        w = np.zeros(dim_hint)
-        w[0] = 1.0
-        return w
-    w = np.asarray(w0, dtype=np.float64).copy()
-    norm = float(np.linalg.norm(w))
-    if not (math.isfinite(norm) and abs(norm - 1.0) <= 1e-9):
-        raise ValueError(f"w0 must have unit norm, got {norm!r}")
-    return w
+def _unit_starts(w0s, ndim: int) -> np.ndarray:
+    """A float64 copy of w0s, checked to be ndim-dimensional with unit rows."""
+    W = np.array(w0s, dtype=np.float64)
+    if W.ndim != ndim:
+        raise ValueError(f"starts must be a {ndim}-d array, got shape {W.shape}")
+    norms = np.linalg.norm(W, axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        raise ValueError(f"every start must have unit norm, got norm {norms.tolist()!r}")
+    return W
 
 
 def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -> Trajectory:
@@ -96,30 +99,30 @@ def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -
     advanced only by the oracle. A non-finite or zero-norm update aborts
     with PsgdDivergenceError carrying the offending step index.
     """
-    v, s = _start_iterate(w0, dim).tolist(), 1.0
+    if w0 is None:
+        if dim is None:
+            raise ValueError("w0 is required when the dimension cannot be inferred")
+        w0 = np.eye(1, dim)[0]
+    v, s = _unit_starts(w0, 1).tolist(), 1.0
     rng = make_rng(config.seed, STREAM_PSGD)
-    steps, beta = config.steps, config.step_size
-    record = _recorded_steps(steps, config.record_every)
+    beta = config.step_size
+    record = _recorded_steps(config.steps, config.record_every)
     iterates = np.empty((record.shape[0], len(v)))
     iterates[0] = v
-    slot = 1
-    next_record = int(record[1]) if record.shape[0] > 1 else -1
-    for i in range(1, steps + 1):
-        p, q, x = grad_oracle(v, s, rng)
-        a, b = (1.0 - beta * p) * s, -beta * q  # w - beta * g = a * v + b * x
-        v = [a * vi + b * xi for vi, xi in zip(v, x, strict=True)]
-        try:  # fsum, unlike sum, rounds alike on every Python version
-            nv = math.sqrt(math.fsum(map(mul, v, v)))
-        except OverflowError:  # finite squares whose sum passes the float range
-            nv = math.inf
-        if not (nv > 0.0 and math.isfinite(nv)):
-            detail = "zero-norm update" if nv == 0.0 else "non-finite gradient or update"
-            raise PsgdDivergenceError(step=i, detail=detail)
-        s = 1.0 / nv
-        if i == next_record:
-            iterates[slot] = [vi / nv for vi in v]
-            slot += 1
-            next_record = int(record[slot]) if slot < record.shape[0] else -1
+    for slot in range(1, record.shape[0]):
+        for i in range(record[slot - 1] + 1, record[slot] + 1):
+            p, q, x = grad_oracle(v, s, rng)
+            a, b = (1.0 - beta * p) * s, -beta * q  # w - beta * g = a * v + b * x
+            v = [a * vi + b * xi for vi, xi in zip(v, x, strict=True)]
+            try:  # fsum, unlike sum, rounds alike on every Python version
+                nv = math.sqrt(math.fsum(map(mul, v, v)))
+            except OverflowError:  # finite squares whose sum passes the float range
+                nv = math.inf
+            if not (nv > 0.0 and math.isfinite(nv)):
+                detail = "zero-norm update" if nv == 0.0 else "non-finite gradient or update"
+                raise PsgdDivergenceError(step=i, detail=detail)
+            s = 1.0 / nv
+        iterates[slot] = [vi / nv for vi in v]
     return Trajectory(step_indices=record, iterates=iterates)
 
 
@@ -132,32 +135,23 @@ def psgd_run_batch(batch_oracle, config: PsgdConfig, w0s: np.ndarray) -> Traject
     seeds or trials of the same configuration); the recorded `iterates`
     have shape (k, m, d) for m starts.
     """
-    W = np.asarray(w0s, dtype=np.float64).copy()
-    if W.ndim != 2:
-        raise ValueError(f"w0s must be (m, d), got shape {W.shape}")
-    norms = np.linalg.norm(W, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):
-        raise ValueError("every start must have unit norm")
+    W = _unit_starts(w0s, 2)
     rng = make_rng(config.seed, STREAM_PSGD)
-    steps, beta = config.steps, config.step_size
-    record = _recorded_steps(steps, config.record_every)
+    beta = config.step_size
+    record = _recorded_steps(config.steps, config.record_every)
     iterates = np.empty((record.shape[0],) + W.shape)
     iterates[0] = W
-    slot = 1
-    next_record = int(record[1]) if record.shape[0] > 1 else -1
-    for i in range(1, steps + 1):
-        G = batch_oracle(W, rng)
-        V = W - beta * G
-        nv = np.sqrt(np.einsum("ij,ij->i", V, V))
-        bad = ~(np.isfinite(nv) & (nv > 0.0))
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            raise PsgdDivergenceError(step=i, detail=f"row {row} produced a degenerate update")
-        W = V / nv[:, None]
-        if i == next_record:
-            iterates[slot] = W
-            slot += 1
-            next_record = int(record[slot]) if slot < record.shape[0] else -1
+    for slot in range(1, record.shape[0]):
+        for i in range(record[slot - 1] + 1, record[slot] + 1):
+            G = batch_oracle(W, rng)
+            V = W - beta * G
+            nv = np.sqrt(np.einsum("ij,ij->i", V, V))
+            bad = ~(np.isfinite(nv) & (nv > 0.0))
+            if bad.any():
+                row = int(np.flatnonzero(bad)[0])
+                raise PsgdDivergenceError(step=i, detail=f"row {row} produced a degenerate update")
+            W = V / nv[:, None]
+        iterates[slot] = W
     return Trajectory(step_indices=record, iterates=iterates)
 
 

@@ -154,6 +154,8 @@ def population_estimates(w, xs, ys, spec: SurrogateSpec, chunk: int = 1 << 16) -
     n, d = xs.shape
     if n < 2:
         raise ValueError("population_estimates needs at least 2 samples")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
     loss_sum = 0.0
     grad_sum = np.zeros(d)
     grad_sq_sum = np.zeros(d)

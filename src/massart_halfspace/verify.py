@@ -30,6 +30,13 @@ the derivative actually lives. Noise rates are evaluated on the in-plane
 points embedded back into R^d; for point-dependent strategies this
 checks an (equally admissible) in-plane adversary rather than the
 ambient one.
+
+Sample size. Points come in chunks of _CHUNK and the stderr is taken over
+the chunk means. The first round draws max(2, ceil(mc_samples / _CHUNK))
+chunks and each later round doubles the count, trimmed to MC_SAMPLE_CAP
+samples, until _MIN_CHUNKS chunks exist and the stderr is at most
+STDERR_FLOOR_FRACTION of the floor. Once no chunk fits under the cap, an
+UnderpoweredCheckError names the samples reached.
 """
 from __future__ import annotations
 
@@ -51,18 +58,33 @@ LEMMA_KINDS = ("ramp", "sigmoid", "strong")
 STDERR_FLOOR_FRACTION = 0.1
 MC_SAMPLE_CAP = 10_000_000
 
-# Samples are drawn in equal-size chunks whose means are the actual i.i.d.
-# observations (the conditional coordinate is stratified inside a chunk,
-# so per-sample values are correlated by design). The stderr over chunk
-# means is only trusted once this many chunks exist.
+# Chunk means are the actual i.i.d. observations: the conditional coordinate
+# is stratified inside a chunk, so per-sample values are correlated by design.
 _CHUNK = 1 << 14
-_MIN_CHUNKS = 16
+_MIN_CHUNKS = 16  # the stderr over fewer chunk means is not trusted
 # The first round draws ceil(mc_samples / _CHUNK) whole chunks, so a larger
 # mc_samples would pass MC_SAMPLE_CAP before the cap is first checked.
 MAX_MC_SAMPLES = MC_SAMPLE_CAP // _CHUNK * _CHUNK
 
 # Share of the importance proposal drawn from the Laplace band at the margin.
 MIXTURE_WEIGHT = 0.9
+
+
+def _lemma(kind: str, profile: BoundedProfile, p: float) -> tuple[float, float]:
+    """(sigma cap at sin(theta) = 1, gradient floor) of lemma kind with noise parameter p:
+    (R/(kU)) sqrt(1-2p) and R^2 (1-2p)/(4kU) with k = 2 (ramp) or 8 (sigmoid),
+    (R/(24U)) sqrt(pR) and p R^3/(288U) for strong."""
+    if kind not in LEMMA_KINDS:
+        raise ValueError(f"unknown lemma kind {kind!r}, expected one of {LEMMA_KINDS}")
+    U, R = profile.density_bound, profile.inner_radius
+    if kind == "strong":
+        if not (math.isfinite(p) and p > 0.0):
+            raise ValueError(f"margin slope must be finite and positive, got {p!r}")
+        return (R / (24.0 * U)) * math.sqrt(p * R), p * R**3 / (288.0 * U)
+    if not (0.0 <= p < 0.5):
+        raise ValueError(f"noise ceiling must lie in [0, 1/2), got {p!r}")
+    k = 2.0 if kind == "ramp" else 8.0
+    return (R / (k * U)) * math.sqrt(1.0 - 2.0 * p), R * R * (1.0 - 2.0 * p) / (4.0 * k * U)
 
 
 def lemma_sigma_cap(kind: str, profile: BoundedProfile, noise_param: float, theta: float) -> float:
@@ -72,35 +94,14 @@ def lemma_sigma_cap(kind: str, profile: BoundedProfile, noise_param: float, thet
     and the margin slope c for the strong bound. theta is the window edge
     the floor should cover, in (0, pi/2].
     """
-    if kind not in LEMMA_KINDS:
-        raise ValueError(f"unknown lemma kind {kind!r}, expected one of {LEMMA_KINDS}")
     if not (0.0 < theta <= math.pi / 2.0 + 1e-12):
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
-    U, R = profile.density_bound, profile.inner_radius
-    s = math.sin(theta)
-    if kind == "ramp":
-        _check_eta(noise_param)
-        return (R / (2.0 * U)) * math.sqrt(1.0 - 2.0 * noise_param) * s
-    if kind == "sigmoid":
-        _check_eta(noise_param)
-        return (R / (8.0 * U)) * math.sqrt(1.0 - 2.0 * noise_param) * s
-    _check_c(noise_param)
-    return (R / (24.0 * U)) * math.sqrt(noise_param * R) * s
+    return _lemma(kind, profile, noise_param)[0] * math.sin(theta)
 
 
 def lemma_gradient_floor(kind: str, profile: BoundedProfile, noise_param: float) -> float:
     """Guaranteed norm of the population surrogate gradient off the target."""
-    if kind not in LEMMA_KINDS:
-        raise ValueError(f"unknown lemma kind {kind!r}, expected one of {LEMMA_KINDS}")
-    U, R = profile.density_bound, profile.inner_radius
-    if kind == "ramp":
-        _check_eta(noise_param)
-        return R * R * (1.0 - 2.0 * noise_param) / (8.0 * U)
-    if kind == "sigmoid":
-        _check_eta(noise_param)
-        return R * R * (1.0 - 2.0 * noise_param) / (32.0 * U)
-    _check_c(noise_param)
-    return noise_param * R**3 / (288.0 * U)
+    return _lemma(kind, profile, noise_param)[1]
 
 
 def verify_lemma(
@@ -119,16 +120,6 @@ def verify_lemma(
         lemma, param = surrogate_kind, noise.eta_bound
     edges = [min(a, math.pi - a) for a in angles if a > 0.0]
     return lemma, param, lemma_sigma_cap(lemma, profile, param, min(edges)) if edges else None
-
-
-def _check_eta(eta: float) -> None:
-    if not (0.0 <= eta < 0.5):
-        raise ValueError(f"noise ceiling must lie in [0, 1/2), got {eta!r}")
-
-
-def _check_c(c: float) -> None:
-    if c <= 0.0:
-        raise ValueError(f"margin slope must be positive, got {c!r}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +152,8 @@ class StructuralCheckConfig:
         if self.marginal.dim < 2:
             # the plane through the target needs a direction orthogonal to it
             raise ValueError(f"verify needs marginal dim >= 2, got dim = {self.marginal.dim!r}")
-        if self.confidence_sigmas <= 0.0:
-            raise ValueError(f"confidence_sigmas must be positive, got {self.confidence_sigmas!r}")
+        if not (math.isfinite(self.confidence_sigmas) and self.confidence_sigmas > 0.0):
+            raise ValueError(f"confidence_sigmas must be finite and positive, got {self.confidence_sigmas!r}")
         if self.noise.model == MODEL_STRONG and self.surrogate.kind != "sigmoid":
             raise ValueError("the strong-noise floor is only stated for the sigmoid surrogate")
         lemma, _, cap = verify_lemma(self.surrogate.kind, self.noise, self.profile, self.angles)
@@ -197,36 +188,6 @@ class StructuralReport:
         return all(r.passed for r in self.results)
 
 
-def _laplace_pdf(t: np.ndarray, scale: float) -> np.ndarray:
-    return np.exp(-np.abs(t) / scale) / (2.0 * scale)
-
-
-class _GapAccumulator:
-    """First and second moments of the three masses over chunk means."""
-
-    __slots__ = ("chunks", "n", "sums", "sqs")
-
-    def __init__(self):
-        self.chunks = 0
-        self.n = 0
-        self.sums = np.zeros(3)
-        self.sqs = np.zeros(3)
-
-    def add_chunk(self, contrib: np.ndarray, good: np.ndarray, bad: np.ndarray) -> None:
-        self.chunks += 1
-        self.n += contrib.shape[0]
-        for i, arr in enumerate((contrib, good, bad)):
-            m = float(arr.mean())
-            self.sums[i] += m
-            self.sqs[i] += m * m
-
-    def mean_stderr(self, i: int) -> tuple[float, float]:
-        k = self.chunks
-        mean = self.sums[i] / k
-        var = max(self.sqs[i] - k * mean * mean, 0.0) / (k - 1)
-        return mean, math.sqrt(var / k)
-
-
 def _estimate_angle(
     config: StructuralCheckConfig,
     target: np.ndarray,
@@ -246,10 +207,8 @@ def _estimate_angle(
 
     # Random plane through the target: w sits at angle theta inside it and
     # b1 completes the frame with <target, b1> = sin(theta).
-    z = rng.standard_normal(dim)
-    z -= (z @ target) * target
-    norm = math.sqrt(float(z @ z))
-    while norm < 1e-12:  # essentially impossible, but cheap to guard
+    norm = 0.0
+    while norm < 1e-12:  # a redraw is essentially impossible, but cheap to guard
         z = rng.standard_normal(dim)
         z -= (z @ target) * target
         norm = math.sqrt(float(z @ z))
@@ -258,23 +217,24 @@ def _estimate_angle(
     w_hat = cos_t * target + sin_t * span
     b1 = sin_t * target - cos_t * span
 
-    acc = _GapAccumulator()
+    # Sums and squared sums of the chunk means of (contrib, good, bad).
+    sums, sqs = np.zeros(3), np.zeros(3)
+    chunks, want = 0, max(2, math.ceil(config.mc_samples / _CHUNK))
     target_stderr = floor * STDERR_FLOOR_FRACTION
-
-    def draw_chunk() -> None:
-        b = _CHUNK
-        from_band = rng.random(b) < mix
+    while True:
+        from_band = rng.random(_CHUNK) < mix
         k = int(from_band.sum())
-        m = np.empty(b)
+        m = np.empty(_CHUNK)
         m[from_band] = rng.laplace(0.0, lap_scale, k)
-        m[~from_band] = plane.sample_marginal(b - k, rng)
+        m[~from_band] = plane.sample_marginal(_CHUNK - k, rng)
         marg = plane.marginal_pdf(m)
-        proposal = mix * _laplace_pdf(m, lap_scale) + (1.0 - mix) * marg
+        laplace_pdf = np.exp(-np.abs(m) / lap_scale) / (2.0 * lap_scale)
+        proposal = mix * laplace_pdf + (1.0 - mix) * marg
         weight = marg / proposal
         # Stratified conditional coordinate: one uniform per equal-mass
         # stratum, shuffled against the m draws, pushed through the
         # conditional quantile function.
-        v = (rng.permutation(b) + rng.random(b)) / b
+        v = (rng.permutation(_CHUNK) + rng.random(_CHUNK)) / _CHUNK
         np.clip(v, 1e-12, 1.0 - 1e-12, out=v)
         u = np.where(marg > 0.0, plane.conditional_inverse_cdf(m, v), 0.0)
         target_margin = cos_t * m + sin_t * u
@@ -286,23 +246,25 @@ def _estimate_angle(
         in_good = (u * s) > 0.0
         good = np.where(in_good, -contrib, 0.0)
         bad = np.where(in_good, 0.0, contrib)
-        acc.add_chunk(contrib, good, bad)
-
-    start_chunks = max(2, math.ceil(config.mc_samples / _CHUNK))
-    for _ in range(start_chunks):
-        draw_chunk()
-    while True:
-        mean, stderr = acc.mean_stderr(0)
-        if acc.chunks >= _MIN_CHUNKS and stderr <= target_stderr:
+        chunks += 1
+        for i, arr in enumerate((contrib, good, bad)):
+            mi = float(arr.mean())
+            sums[i] += mi
+            sqs[i] += mi * mi
+        if chunks < want:
+            continue
+        n = chunks * _CHUNK
+        mean = sums[0] / chunks
+        stderr = math.sqrt(max(sqs[0] - chunks * mean * mean, 0.0) / (chunks - 1) / chunks)
+        if chunks >= _MIN_CHUNKS and stderr <= target_stderr:
             break
-        if acc.n + _CHUNK > MC_SAMPLE_CAP:
+        if n + _CHUNK > MC_SAMPLE_CAP:
             raise UnderpoweredCheckError(
                 f"gradient-norm stderr {stderr:.3g} still above target "
-                f"{target_stderr:.3g} after {acc.n} samples at theta={theta:.6g}"
+                f"{target_stderr:.3g} after {n} samples at theta={theta:.6g}"
             )
-        add = min(acc.chunks, (MC_SAMPLE_CAP - acc.n) // _CHUNK)
-        for _ in range(add):
-            draw_chunk()
+        # double the sample, up to the cap
+        want += min(chunks, (MC_SAMPLE_CAP - n) // _CHUNK)
 
     estimate = abs(mean)
     if theta == 0.0:
@@ -310,18 +272,16 @@ def _estimate_angle(
         verdict = "pass" if estimate <= config.confidence_sigmas * stderr else "fail"
     else:
         verdict = "pass" if estimate >= floor - config.confidence_sigmas * stderr else "fail"
-    good_mass, _ = acc.mean_stderr(1)
-    bad_mass, _ = acc.mean_stderr(2)
     return AngleGapResult(
         theta=theta,
         sigma=sigma,
         floor=floor,
         estimate=estimate,
         stderr=stderr,
-        samples=acc.n,
+        samples=n,
         verdict=verdict,
-        good_mass=good_mass,
-        bad_mass=bad_mass,
+        good_mass=sums[1] / chunks,
+        bad_mass=sums[2] / chunks,
     )
 
 
@@ -330,9 +290,8 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
 
     Each angle gets its own RNG substream and its own uniformly random
     2-d plane through the target, so no coordinate axis is privileged.
-    Sample sizes start at mc_samples and double until the stderr drops
-    under a tenth of the floor; past ten million samples the check gives
-    up and raises instead of returning an underpowered verdict.
+    Each angle is sized by the rule in the module docstring; an
+    underpowered angle raises instead of returning a verdict.
     """
     target = require_unit(target, "target")
     if target.shape[0] != config.marginal.dim:

@@ -265,6 +265,11 @@ class TestSelectHypothesis:
         with pytest.raises(ValueError):
             select_hypothesis(np.ones((2, 2)), np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        with pytest.raises(ValueError, match=f"chunk must be at least 1, got {chunk}"):
+            select_hypothesis(np.eye(2), np.ones((3, 2)), np.ones(3), chunk=chunk)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_perfect_candidate_is_chosen(self, seed):

@@ -14,8 +14,24 @@ from massart_halfspace import (
     theoretical_iteration_count,
     theoretical_step_size,
 )
+from massart_halfspace.psgd import _recorded_steps, recorded_count
 
 E1_3 = np.array([1.0, 0.0, 0.0])
+
+
+def _moving_gradients(steps, rows, dim, seed=21):
+    """Fixed per-step gradients large enough that every step moves the iterate."""
+    return np.random.default_rng(seed).standard_normal((steps, rows, dim))
+
+
+def _reference_iterates(starts, grads, beta):
+    """Step-by-step numpy PSGD: the iterates after steps 0..len(grads)."""
+    W, out = np.array(starts, dtype=np.float64), [np.array(starts, dtype=np.float64)]
+    for G in grads:
+        V = W - beta * G
+        W = V / np.linalg.norm(V, axis=-1, keepdims=True)
+        out.append(W)
+    return np.array(out)
 
 
 def _zero_oracle(v, s, rng):
@@ -66,6 +82,10 @@ class TestSingleRun:
     def test_rejects_non_unit_start(self):
         with pytest.raises(ValueError):
             psgd_run(_zero_oracle, PsgdConfig(steps=1, step_size=0.1), w0=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            psgd_run(_zero_oracle, PsgdConfig(steps=1, step_size=0.1), w0=np.array([math.nan, 0.0]))
+        with pytest.raises(ValueError):
+            psgd_run(_zero_oracle, PsgdConfig(steps=1, step_size=0.1), w0=np.array([[1.0, 0.0]]))
 
     def test_deterministic_across_runs(self):
         def noisy(v, s, rng):
@@ -117,6 +137,29 @@ class TestSingleRun:
         assert np.array_equal(traj.step_indices, [0, 4, 8, 10])
         traj2 = psgd_run(_zero_oracle, PsgdConfig(steps=8, step_size=0.1, record_every=4), w0=E1_3)
         assert np.array_equal(traj2.step_indices, [0, 4, 8])
+
+    def test_record_every_stores_each_iterate_in_its_slot(self):
+        # a moving oracle makes every step's iterate distinct, so a row
+        # stored one step early or late misses the reference
+        grads = _moving_gradients(10, 1, 3)[:, 0]
+        calls = iter(grads.tolist())
+        traj = psgd_run(
+            lambda v, s, rng: (0.0, 1.0, next(calls)),
+            PsgdConfig(steps=10, step_size=0.3, record_every=4), w0=E1_3,
+        )
+        ref = _reference_iterates(E1_3, grads, 0.3)
+        assert np.array_equal(traj.step_indices, [0, 4, 8, 10])
+        assert np.max(np.abs(traj.iterates - ref[[0, 4, 8, 10]])) <= 1e-12
+        assert np.min(np.linalg.norm(ref[[3, 5, 7, 9]] - ref[[4, 4, 8, 8]], axis=1)) > 1e-3
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 10, 12])
+def test_recorded_count_matches_recorded_steps(steps):
+    for every in range(1, steps + 3):  # every = 1, every = steps and every > steps
+        idx = _recorded_steps(steps, every)
+        assert recorded_count(steps, every) == len(idx)
+        assert idx[0] == 0 and idx[-1] == steps and np.all(np.diff(idx) > 0)
+        assert set(range(0, steps + 1, every)) <= set(idx.tolist())
 
     # 1e155 is finite, but the squares of the update it gives sum past the float range
     @pytest.mark.parametrize("fill", [np.nan, np.inf, 1e155])
@@ -178,6 +221,18 @@ class TestBatchRun:
             # batched norms accumulate in a different order than the
             # scalar path, so agreement is to rounding, not bitwise
             assert np.allclose(batch.iterates[:, row, :], solo.iterates, rtol=0, atol=1e-12)
+
+    def test_record_every_stores_each_iterate_in_its_slot(self):
+        starts = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        grads = _moving_gradients(10, 2, 3)
+        calls = iter(grads)
+        traj = psgd_run_batch(
+            lambda W, rng: next(calls), PsgdConfig(steps=10, step_size=0.3, record_every=4), starts
+        )
+        ref = _reference_iterates(starts, grads, 0.3)
+        assert np.array_equal(traj.step_indices, [0, 4, 8, 10])
+        assert traj.iterates.shape == (4, 2, 3)
+        assert np.max(np.abs(traj.iterates - ref[[0, 4, 8, 10]])) <= 1e-12
 
     def test_rejects_bad_shapes_and_norms(self):
         cfg = PsgdConfig(steps=1, step_size=0.1)

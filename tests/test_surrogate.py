@@ -299,6 +299,13 @@ class TestPopulationEstimates:
                 np.array([1.0, 0.0]), np.ones((1, 2)), np.ones(1), SurrogateSpec("ramp", 0.5)
             )
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected(self, chunk):
+        with pytest.raises(ValueError, match=f"chunk must be at least 1, got {chunk}"):
+            population_estimates(
+                np.array([1.0, 0.0]), np.ones((3, 2)), np.ones(3), SurrogateSpec("ramp", 0.5), chunk=chunk
+            )
+
     def test_chunking_is_immaterial(self):
         rng = np.random.default_rng(9)
         w = rng.standard_normal(3)

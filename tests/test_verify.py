@@ -96,6 +96,12 @@ class TestSigmaCap:
             lemma_sigma_cap("sigmoid", DISK, 0.5, 0.5)
         with pytest.raises(ValueError):
             lemma_sigma_cap("strong", DISK, 0.0, 0.5)
+        for bad in (math.nan, math.inf):
+            for kind in ("ramp", "sigmoid", "strong"):
+                with pytest.raises(ValueError):
+                    lemma_sigma_cap(kind, DISK, bad, 0.5)
+            with pytest.raises(ValueError):
+                lemma_sigma_cap("sigmoid", DISK, 0.3, bad)
 
 
 class TestGradientFloor:
@@ -124,6 +130,17 @@ class TestGradientFloor:
             lemma_gradient_floor("hinge", DISK, 0.3)
         with pytest.raises(ValueError):
             lemma_gradient_floor("ramp", DISK, -0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            for kind in ("ramp", "sigmoid", "strong"):
+                with pytest.raises(ValueError):
+                    lemma_gradient_floor(kind, DISK, bad)
+
+    def test_confidence_sigmas_must_be_finite_and_positive(self):
+        noise = NoiseStrategy(kind="constant", eta_bound=0.3)
+        spec = SurrogateSpec("sigmoid", SIGMOID_CAP_PI8)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="confidence_sigmas"):
+                _disk_config(noise, spec, angles=(math.pi / 8,), confidence_sigmas=bad)
 
 
 class TestConfigValidation:
@@ -335,5 +352,46 @@ class TestEstimatorProperties:
             angles=(math.pi / 4,),
             seed=323,
         )
-        with pytest.raises(UnderpoweredCheckError):
+        with pytest.raises(UnderpoweredCheckError, match=f"after {4 * verify_mod._CHUNK} samples"):
             verify_stationary_gap(cfg, np.array([1.0, 0.0]))
+
+    def test_underpowered_names_the_trimmed_last_round(self, monkeypatch):
+        # 2 chunks, then 4, then one more: the doubling is trimmed to the cap
+        chunk = verify_mod._CHUNK
+        monkeypatch.setattr(verify_mod, "MC_SAMPLE_CAP", 5 * chunk + 1)
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 1e-12)
+        cfg = _disk_config(
+            NoiseStrategy(kind="constant", eta_bound=0.3),
+            SurrogateSpec("sigmoid", SIGMOID_CAP_PI8),
+            angles=(math.pi / 4,),
+            seed=323,
+        )
+        with pytest.raises(UnderpoweredCheckError, match=f"after {5 * chunk} samples"):
+            verify_stationary_gap(cfg, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("mc_chunks, fraction", [(1, 1e6), (3, 1e6), (5, 1e6), (20, 1e6), (3, 0.02)])
+    def test_sample_growth_rule(self, monkeypatch, mc_chunks, fraction):
+        # samples = max(2, ceil(mc / _CHUNK)) * 2^j * _CHUNK, at least _MIN_CHUNKS chunks
+        chunk, min_chunks = verify_mod._CHUNK, verify_mod._MIN_CHUNKS
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", fraction)
+        cfg = _disk_config(
+            NoiseStrategy(kind="constant", eta_bound=0.3),
+            SurrogateSpec("sigmoid", SIGMOID_CAP_PI8),
+            angles=(math.pi / 4,),
+            seed=324,
+            mc_samples=mc_chunks * chunk - 7,
+        )
+        res = verify_stationary_gap(cfg, np.array([1.0, 0.0])).results[0]
+        start = max(2, mc_chunks)
+        assert res.samples % (start * chunk) == 0
+        growth = res.samples // (start * chunk)
+        assert growth & (growth - 1) == 0  # a power of two
+        assert res.samples >= min_chunks * chunk
+        assert res.stderr <= fraction * SIGMOID_FLOOR
+        least = start
+        while least < min_chunks:
+            least *= 2
+        if fraction > 1.0:  # the stderr target holds at once
+            assert res.samples == least * chunk
+        else:  # the stderr target alone forced further doublings
+            assert res.samples > least * chunk
