@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import special
 
 from .errors import UnderpoweredCheckError
 from .geometry import BoundedProfile, check_orthonormal_basis
@@ -339,6 +338,7 @@ class PlaneDensity:
         u2 = np.clip(t / r, -1.0, 1.0) ** 2
         inside = u2 < 1.0
         expo = self._marg_beta - 1.0
+        from scipy import special
         norm = r * special.beta(0.5, self._marg_beta)
         base = np.where(inside, 1.0 - u2, 1.0)
         return np.where(inside, base**expo / norm, 0.0)
@@ -367,6 +367,7 @@ class PlaneDensity:
         Lets callers drive the conditional draw with stratified or
         quasi-random uniforms instead of fresh ones.
         """
+        from scipy import special
         t = np.asarray(t, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         if self.kind == "standard_gaussian":
@@ -387,6 +388,7 @@ def plane_density(kind: str, dim: int) -> PlaneDensity:
     exponent (d-4)/2 and therefore needs d >= 3 to project to a proper
     density. Single-coordinate marginals shave another half power.
     """
+    import scipy.special  # noqa: F401  only plane densities use scipy; a learn run builds none
     if kind == "standard_gaussian":
         return PlaneDensity(kind=kind, dim=dim, radius=None)
     r = support_radius(kind, dim)

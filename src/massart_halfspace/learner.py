@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -302,27 +302,26 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     step); the selection sample comes from a derived oracle, so the two
     are disjoint by construction. Total sample usage is exactly
     steps + selection_samples.
+
+    PSGD sees each example label-folded, z = y * x, with ||z||^2: the surrogate
+    is then a margin loss, whose projection norm is a scalar formula (`psgd`).
     """
     t0 = time.perf_counter()
     dim = oracle.marginal.dim
     sched, config = plan_learning(params, oracle.strategy, dim, psgd_seed)
     sigma = sched.sigma
 
-    def examples():
-        while True:
-            batch = oracle.draw(_STREAM_CHUNK)
-            yield from zip(batch.xs.tolist(), batch.ys.tolist())
-
-    stream = examples()
-
-    def grad_fn(v, s, _rng):
-        x, y = next(stream)
-        m = math.fsum(map(mul, x, v)) * s  # the margin <w, x> of the unit iterate w = s * v
+    def dloss(m):  # the sigmoid derivative at the margin m, on floats
         q = math.exp(-abs(m) / sigma)
-        coef = -y * q / ((1.0 + q) ** 2 * sigma)
-        return -coef * m, coef, x  # the gradient coef * (x - m * w)
+        return q / ((1.0 + q) ** 2 * sigma)
 
-    trajectory = psgd_run(grad_fn, config, dim=dim)
+    def batch(n):
+        drawn = oracle.draw(n)
+        zs = drawn.xs * drawn.ys[:, None]  # exact: y = +-1
+        return zip(zs.tolist(), np.einsum("ij,ij->i", zs, zs).tolist())
+
+    examples = chain.from_iterable(map(batch, repeat(_STREAM_CHUNK)))
+    trajectory = psgd_run(examples, config, dim=dim, dloss=dloss)
 
     # The layout of candidate_step_sign: the first-argmin selection then
     # prefers +w over -w and earlier steps over later ones.

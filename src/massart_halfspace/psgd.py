@@ -2,13 +2,13 @@
 
 Each step takes a stochastic gradient g at the current unit iterate w,
 moves to v = w - step_size * g, and projects back to the sphere,
-w <- v / ||v||. Because the surrogate gradients are orthogonal to w, the
-pre-projection norm satisfies ||v|| >= 1, so the projection never blows a
-step up. The single run takes g in rank-one form p * w + q * x, the shape
-of a margin loss's gradient coef * (x - <w, x> * w), so a step is one list.
-Both runs record step 0, every record_every-th step, and the last step
-when record_every does not divide steps: recorded_count(steps,
-record_every) iterates, each stored when its segment of steps ends.
+w <- v / ||v||. The single run is SGD of a margin loss: for an example z
+with zz = ||z||^2, the gradient at m = <w, z> is g = -dloss(m) * (z - m * w),
+tangent to w, so ||w - step_size * g||^2 = 1 + (step_size * dloss(m))^2 *
+(zz - m^2) >= 1 is a scalar and the projection never blows a step up. Both
+runs record step 0, every record_every-th step, and the last step when
+record_every does not divide steps: recorded_count(steps, record_every)
+iterates, each stored when its segment of steps ends.
 
 For a smooth bounded objective the guarantees are parameter-free in
 shape: with step_size sqrt(2 * value_range / (smoothness * grad_sq_bound
@@ -60,9 +60,6 @@ class Trajectory:
     def __len__(self) -> int:
         return int(self.step_indices.shape[0])
 
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
-
 
 def recorded_count(steps: int, record_every: int) -> int:
     """Number of iterates a run records (see the module docstring)."""
@@ -86,43 +83,47 @@ def _unit_starts(w0s, ndim: int) -> np.ndarray:
     return W
 
 
-def psgd_run(grad_oracle, config: PsgdConfig, w0=None, dim: int | None = None) -> Trajectory:
-    """Run projected SGD and return the recorded trajectory.
+def psgd_run(examples, config: PsgdConfig, w0=None, dim: int | None = None, *, dloss) -> Trajectory:
+    """Run projected SGD of a margin loss and return the recorded trajectory.
 
-    The loop keeps the unprojected vector v as a list of Python floats
-    and its inverse norm s, so the unit iterate is w = s * v; each step is
-    plain float arithmetic, cheaper than numpy calls on vectors this
-    short. grad_oracle(v, s, rng) must return a finite gradient as
-    (p, q, x), meaning g = p * w + q * x with x any sequence of d floats
-    (another length raises ValueError); a generic gradient g is
-    (0.0, 1.0, g). The rng is a dedicated Philox substream of config.seed,
-    advanced only by the oracle. A non-finite or zero-norm update aborts
-    with PsgdDivergenceError carrying the offending step index.
+    Step i takes the i-th (z, zz) of examples, z a sequence of d floats
+    (another length raises ValueError), and dloss(m) is the r of the
+    gradient -r * (z - m * w). The loop keeps v as a list of Python floats
+    and s = 1/||v||, so w = s * v and a step is one list, v <- a * v + b * z.
+    A non-finite or non-positive squared norm aborts with PsgdDivergenceError
+    at its step, as does a record step whose exact ||v|| is off 1/s by over
+    1e-9 relative: a stream whose zz is not ||z||^2.
     """
-    if w0 is None:
-        if dim is None:
-            raise ValueError("w0 is required when the dimension cannot be inferred")
-        w0 = np.eye(1, dim)[0]
-    v, s = _unit_starts(w0, 1).tolist(), 1.0
-    rng = make_rng(config.seed, STREAM_PSGD)
+    if w0 is None and dim is None:
+        raise ValueError("w0 is required when the dimension cannot be inferred")
+    v, s = _unit_starts(np.eye(1, dim)[0] if w0 is None else w0, 1).tolist(), 1.0
+    if dim is not None and len(v) != dim:
+        raise ValueError(f"w0 has dimension {len(v)} but dim is {dim}")
     beta = config.step_size
     record = _recorded_steps(config.steps, config.record_every)
     iterates = np.empty((record.shape[0], len(v)))
     iterates[0] = v
     for slot in range(1, record.shape[0]):
-        for i in range(record[slot - 1] + 1, record[slot] + 1):
-            p, q, x = grad_oracle(v, s, rng)
-            a, b = (1.0 - beta * p) * s, -beta * q  # w - beta * g = a * v + b * x
-            v = [a * vi + b * xi for vi, xi in zip(v, x, strict=True)]
-            try:  # fsum, unlike sum, rounds alike on every Python version
-                nv = math.sqrt(math.fsum(map(mul, v, v)))
-            except OverflowError:  # finite squares whose sum passes the float range
-                nv = math.inf
-            if not (nv > 0.0 and math.isfinite(nv)):
-                detail = "zero-norm update" if nv == 0.0 else "non-finite gradient or update"
-                raise PsgdDivergenceError(step=i, detail=detail)
-            s = 1.0 / nv
+        i = record[slot - 1]
+        try:  # fsum rounds alike on every Python version, but may overflow on finite terms
+            for i, (z, zz) in zip(range(i + 1, record[slot] + 1), examples):
+                m = math.fsum(map(mul, z, v)) * s
+                b = beta * dloss(m)
+                a = (1.0 - b * m) * s  # w - beta * g = a * v + b * z
+                v = [a * vi + b * zi for vi, zi in zip(v, z, strict=True)]
+                n2 = 1.0 + b * b * (zz - m * m)
+                if not 0.0 < n2 < math.inf:
+                    raise PsgdDivergenceError(step=i, detail="non-finite or non-positive squared norm")
+                s = 1.0 / math.sqrt(n2)
+            nv = math.sqrt(math.fsum(map(mul, v, v)))
+        except OverflowError:
+            raise PsgdDivergenceError(step=i, detail="a sum passed the float range") from None
+        if i != record[slot]:
+            raise ValueError(f"the example stream ended before step {i + 1} of {config.steps}")
+        if not abs(nv * s - 1.0) <= 1e-9:
+            raise PsgdDivergenceError(step=i, detail="the carried norm drifted: is zz = ||z||^2?")
         iterates[slot] = [vi / nv for vi in v]
+        s = 1.0 / nv
     return Trajectory(step_indices=record, iterates=iterates)
 
 
@@ -143,13 +144,11 @@ def psgd_run_batch(batch_oracle, config: PsgdConfig, w0s: np.ndarray) -> Traject
     iterates[0] = W
     for slot in range(1, record.shape[0]):
         for i in range(record[slot - 1] + 1, record[slot] + 1):
-            G = batch_oracle(W, rng)
-            V = W - beta * G
+            V = W - beta * batch_oracle(W, rng)
             nv = np.sqrt(np.einsum("ij,ij->i", V, V))
             bad = ~(np.isfinite(nv) & (nv > 0.0))
             if bad.any():
-                row = int(np.flatnonzero(bad)[0])
-                raise PsgdDivergenceError(step=i, detail=f"row {row} produced a degenerate update")
+                raise PsgdDivergenceError(step=i, detail=f"row {int(np.argmax(bad))} produced a degenerate update")
             W = V / nv[:, None]
         iterates[slot] = W
     return Trajectory(step_indices=record, iterates=iterates)

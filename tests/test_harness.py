@@ -626,6 +626,27 @@ class TestRunLearn:
             assert excess == pytest.approx(noisy - opt, abs=1e-12)
             assert row[header.index("verdict")] == "pass"
 
+    @pytest.mark.parametrize("model", ["massart", "strong_massart"])
+    def test_learn_run_never_imports_scipy(self, tmp_path, model):
+        # scipy serves only the verify estimator's plane densities; a learn
+        # run in a fresh interpreter, config load included, must not load it
+        flat = _flat(LEARN_FLAT, tmp_path, **{"learn.model": model})
+        if model == "strong_massart":
+            del flat["noise.eta_bound"]
+            flat.update({"noise.kind": "strong_massart_max", "noise.c_strong": 0.5})
+        code = (
+            "import json, sys\n"
+            "from massart_halfspace import harness\n"
+            "code = harness.run(harness.config_from_mapping(json.loads(sys.argv[1])))\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        package_root = str(Path(massart_halfspace.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(flat)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(EXIT_OK), "[]"]
+
 
 # --------------------------------------------------------------------------
 # run(): verify

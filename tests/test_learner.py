@@ -24,8 +24,10 @@ from massart_halfspace import (
     select_hypothesis,
     sign_of,
 )
+from massart_halfspace import learner
 from massart_halfspace.learner import _BLOCK_PRODUCTS, _SELECT_CHUNK, _STREAM_CHUNK, _select
 from massart_halfspace.rng import STREAM_SELECT
+from massart_halfspace.surrogate import sigmoid_derivative
 
 DISK = disk_profile()
 
@@ -474,3 +476,24 @@ def test_step_matches_numpy_reference_step():
             iterates.append(w)
     assert np.array_equal(report.trajectory.step_indices, indices)
     assert np.max(np.abs(report.trajectory.iterates - np.array(iterates))) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.25, 1.0])
+def test_scalar_dloss_matches_sigmoid_derivative(sigma, monkeypatch):
+    # the per-step derivative learn() hands to psgd_run against the
+    # surrogate module's array form, over margins from the peak out to
+    # where q underflows
+    real_psgd_run, passed = learner.psgd_run, []
+
+    def capturing(examples, config, *args, dloss, **kwargs):
+        passed.append(dloss)
+        return real_psgd_run(examples, config, *args, dloss=dloss, **kwargs)
+
+    monkeypatch.setattr(learner, "psgd_run", capturing)
+    oracle, params, _ = _small_learn_setup(eta_bound=0.2)
+    learn(oracle, dataclasses.replace(params, sigma_override=sigma, steps_override=10))
+    grid = np.concatenate([np.linspace(-40.0 * sigma, 40.0 * sigma, 4001), [-1e3, 1e3, 0.0, -0.0]])
+    expected = sigmoid_derivative(grid, sigma)
+    got = np.array([passed[0](m) for m in grid.tolist()])
+    assert len(passed) == 1
+    assert np.all(np.abs(got - expected) <= 1e-15 * expected)
