@@ -53,11 +53,10 @@ def main(argv=None) -> int:
             flat["out"] = args.out
         if args.seed is not None:
             flat["base_seed"] = args.seed
-        config = config_from_mapping(flat)
+        return run(config_from_mapping(flat))  # run() refuses an output directory it cannot make
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(config)
 
 
 def entry() -> None:

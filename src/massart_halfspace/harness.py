@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .distributions import PROFILE_BUILDERS, SAMPLER_KINDS, MarginalSampler, plane_density
 from .errors import BudgetExceededError, ConfigError, PsgdDivergenceError, UnderpoweredCheckError
-from .geometry import BoundedProfile, require_unit, sign_of
-from .learner import MODES, LearnParams, candidate_step_sign, learn, plan_learning, select_hypothesis
+from .geometry import BoundedProfile, angle_between, require_unit, sign_of
+from .learner import MODES, LearnParams, candidate_step_sign, learn, schedule_for, select_hypothesis
 from .noise import MODEL_MASSART, MODEL_STRONG, NOISE_KINDS, MassartOracle, NoiseStrategy
 from .rng import derive_seed, make_rng
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
@@ -51,9 +51,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TRIAL_FAILURES = 2
 
-# Substream roles at the trial layer (the oracle namespaces its own).
+# Trial-layer substream roles (the oracle namespaces its own); 1 is unused so 2 and 3 keep their seeds.
 _ROLE_ORACLE = 0
-_ROLE_PSGD = 1
 _ROLE_EVAL = 2
 _ROLE_TARGET = 3
 
@@ -216,10 +215,10 @@ def _typed(key: str, spec: Key, value):
 
 @contextmanager
 def _section(name: str):
-    """Report a domain object's refusal of its inputs as a config error about name."""
+    """Report a refusal of an input, by a domain object or by the OS, as a config error about name."""
     try:
         yield
-    except (ValueError, ArithmeticError, BudgetExceededError) as exc:
+    except (ValueError, ArithmeticError, BudgetExceededError, OSError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -284,7 +283,7 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
                 steps_override=v["learn.steps"], step_size_override=v["learn.step_size"],
                 sigma_override=v["learn.sigma"], selection_override=v["learn.selection"],
             )
-            plan_learning(params, noise, marginal.dim)
+            schedule_for(params, noise, marginal.dim)
     if v["command"] == "verify":
         for si, kind in enumerate(v["verify.strategies"]):
             with _section("field verify.strategies"):
@@ -336,7 +335,6 @@ def measure_disagreement(
 
 
 def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema_version = {SCHEMA_VERSION}\n")
         fh.write(f"# artifact = massart-halfspace {__version__}\n")
@@ -348,7 +346,6 @@ def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows: li
 
 
 def _write_summary(out: Path, config: ExperimentConfig, payload: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"config_hash": config.hash, "command": config.values["command"], **payload}
     with open(out / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -371,7 +368,7 @@ LEARN_COLUMNS = {
     "noisy_error": math.nan, "opt_estimate": math.nan, "opt_stderr": math.nan,
     "excess_error": math.nan, "samples_used": 0, "steps": 0, "step_size": math.nan,
     "sigma": math.nan, "selection_samples": 0, "candidate_count": 0, "chosen_step": 0,
-    "chosen_sign": 0, "verdict": None, "wall_time_s": 0.0,
+    "chosen_sign": 0, "verdict": None, "wall_time_s": 0.0, "angle_to_target": math.nan,
 }
 
 
@@ -383,7 +380,7 @@ def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]
     target = _random_unit(make_rng(seed, trial, _ROLE_TARGET), config.marginal.dim)
     oracle = MassartOracle(target=target, strategy=config.noise, marginal=config.marginal, seed=oracle_seed)
     try:
-        report = learn(oracle, params, psgd_seed=derive_seed(seed, trial, _ROLE_PSGD))
+        report = learn(oracle, params)
     except _ABORTS as exc:  # recorded, run continues
         return {**LEARN_COLUMNS, "trial": trial, "seed": oracle_seed, "verdict": f"abort:{type(exc).__name__}"}, []
     eval_marginal = replace(config.marginal, seed=derive_seed(seed, trial, _ROLE_EVAL))
@@ -406,7 +403,7 @@ def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]
         "step_size": sched.step_size, "sigma": sched.sigma, "selection_samples": sched.selection_samples,
         "candidate_count": report.candidate_count, "chosen_step": report.chosen_step,
         "chosen_sign": report.chosen_sign, "verdict": "pass" if ok else "fail",
-        "wall_time_s": round(report.wall_time_s, 3),
+        "wall_time_s": round(report.wall_time_s, 3), "angle_to_target": angle_between(report.chosen, target),
     }
     curves = [[trial, *candidate_step_sign(report.trajectory.step_indices, j), float(err)]
               for j, err in enumerate(report.candidate_errors)]
@@ -552,6 +549,9 @@ _RUNNERS = {"learn": _run_learn, "verify": _run_verify, "gradcheck": _run_gradch
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment config; returns the process exit code.
 
-    Trials execute sequentially, each from its own derived seeds.
+    Trials execute sequentially, each from its own derived seeds, once the out directory is made.
     """
-    return _RUNNERS[config.values["command"]](config, Path(config.values["out"]))
+    out = Path(config.values["out"])
+    with _section("field out"):
+        out.mkdir(parents=True, exist_ok=True)
+    return _RUNNERS[config.values["command"]](config, out)

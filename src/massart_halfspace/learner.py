@@ -101,6 +101,8 @@ class LearnParams:
 
 @dataclass(frozen=True)
 class Schedule:
+    """What learn() runs, checked when built: the one planner is schedule_for."""
+
     steps: int
     step_size: float
     sigma: float
@@ -108,6 +110,15 @@ class Schedule:
     record_every: int
     theta_target: float
     sigma_cap: float
+
+    def __post_init__(self):
+        SurrogateSpec(kind="sigmoid", sigma=self.sigma)  # refuses a bad width first,
+        self.psgd  # then PsgdConfig a bad step count, step size or recording
+
+    @property
+    def psgd(self) -> PsgdConfig:
+        """The PSGD run learn() makes."""
+        return PsgdConfig(steps=self.steps, step_size=self.step_size, record_every=self.record_every)
 
     @property
     def candidate_count(self) -> int:
@@ -271,24 +282,6 @@ class LearnReport:
     wall_time_s: float
 
 
-def plan_learning(
-    params: LearnParams, noise: NoiseStrategy, dim: int, psgd_seed: int = 0
-) -> tuple[Schedule, PsgdConfig]:
-    """The schedule and PSGD configuration learn() runs in dimension dim.
-
-    Raises ValueError if the schedule, PSGD or the surrogate rejects its
-    inputs, and BudgetExceededError if the schedule overruns params.budget.
-    Nothing here depends on the trial, so a caller can check a whole run
-    before its first trial.
-    """
-    sched = schedule_for(params, noise, dim)
-    SurrogateSpec(kind="sigmoid", sigma=sched.sigma)  # validates the width
-    config = PsgdConfig(
-        steps=sched.steps, step_size=sched.step_size, seed=psgd_seed, record_every=sched.record_every
-    )
-    return sched, config
-
-
 # Examples are pulled from the oracle in batches of this size during PSGD,
 # and the selection sample streams through in larger slabs.
 _STREAM_CHUNK = 8192
@@ -303,12 +296,13 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     are disjoint by construction. Total sample usage is exactly
     steps + selection_samples.
 
-    PSGD sees each example label-folded, z = y * x, with ||z||^2: the surrogate
-    is then a margin loss, whose projection norm is a scalar formula (`psgd`).
+    PSGD starts at e_1 and sees each example label-folded, z = y * x, with ||z||^2:
+    a margin loss, whose projection norm is a scalar formula (`psgd`). PSGD draws
+    nothing, so psgd_seed is ignored; it stays while the benchmark's learn() wrapper passes it.
     """
     t0 = time.perf_counter()
     dim = oracle.marginal.dim
-    sched, config = plan_learning(params, oracle.strategy, dim, psgd_seed)
+    sched = schedule_for(params, oracle.strategy, dim)
     sigma = sched.sigma
 
     def dloss(m):  # the sigmoid derivative at the margin m, on floats
@@ -321,7 +315,7 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
         return zip(zs.tolist(), np.einsum("ij,ij->i", zs, zs).tolist())
 
     examples = chain.from_iterable(map(batch, repeat(_STREAM_CHUNK)))
-    trajectory = psgd_run(examples, config, dim=dim, dloss=dloss)
+    trajectory = psgd_run(examples, sched.psgd, np.eye(1, dim)[0], dloss=dloss)
 
     # The layout of candidate_step_sign: the first-argmin selection then
     # prefers +w over -w and earlier steps over later ones.

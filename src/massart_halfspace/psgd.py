@@ -36,6 +36,8 @@ from .rng import STREAM_PSGD, make_rng
 
 @dataclass(frozen=True)
 class PsgdConfig:
+    """A run's schedule; seed feeds only psgd_run_batch's oracle generator, as psgd_run draws nothing."""
+
     steps: int
     step_size: float
     seed: int = 0
@@ -83,8 +85,8 @@ def _unit_starts(w0s, ndim: int) -> np.ndarray:
     return W
 
 
-def psgd_run(examples, config: PsgdConfig, w0=None, dim: int | None = None, *, dloss) -> Trajectory:
-    """Run projected SGD of a margin loss and return the recorded trajectory.
+def psgd_run(examples, config: PsgdConfig, w0, *, dloss) -> Trajectory:
+    """Run projected SGD of a margin loss from the unit w0; return the recorded trajectory.
 
     Step i takes the i-th (z, zz) of examples, z a sequence of d floats
     (another length raises ValueError), and dloss(m) is the r of the
@@ -94,11 +96,7 @@ def psgd_run(examples, config: PsgdConfig, w0=None, dim: int | None = None, *, d
     at its step, as does a record step whose exact ||v|| is off 1/s by over
     1e-9 relative: a stream whose zz is not ||z||^2.
     """
-    if w0 is None and dim is None:
-        raise ValueError("w0 is required when the dimension cannot be inferred")
-    v, s = _unit_starts(np.eye(1, dim)[0] if w0 is None else w0, 1).tolist(), 1.0
-    if dim is not None and len(v) != dim:
-        raise ValueError(f"w0 has dimension {len(v)} but dim is {dim}")
+    v, s = _unit_starts(w0, 1).tolist(), 1.0
     beta = config.step_size
     record = _recorded_steps(config.steps, config.record_every)
     iterates = np.empty((record.shape[0], len(v)))

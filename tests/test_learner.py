@@ -13,6 +13,7 @@ from massart_halfspace import (
     MarginalSampler,
     MassartOracle,
     NoiseStrategy,
+    PsgdConfig,
     SurrogateSpec,
     disk_profile,
     excess_to_target_error,
@@ -177,6 +178,22 @@ class TestPracticalSchedules:
         assert sched.selection_samples == 777
         assert sched.record_every == 400
         assert sched.candidate_count == 2 * 11
+
+    def test_psgd_config_is_the_schedule(self):
+        sched = schedule_for(_params(steps_override=4000, step_size_override=0.02, record_every=400), _massart(), 2)
+        assert sched.psgd == PsgdConfig(steps=4000, step_size=0.02, record_every=400)
+
+    def test_refusals_keep_their_order(self):
+        # the budget, then the surrogate width, then the PSGD step size
+        bad = dict(sigma_override=20.0, step_size_override=0.0)
+        with pytest.raises(BudgetExceededError):
+            schedule_for(_params(budget=10, steps_override=11, **bad), _massart(), 2)
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            schedule_for(_params(**bad), _massart(), 2)
+        with pytest.raises(ValueError, match="step_size must be positive"):
+            schedule_for(_params(step_size_override=0.0), _massart(), 2)
+        with pytest.raises(ValueError, match="step_size must be positive"):
+            schedule_for(_params(step_size_override=math.inf), _massart(), 2)
 
     @pytest.mark.parametrize("mode", ["practical", "theoretical"])
     @pytest.mark.parametrize("noise, key, value", [
@@ -372,6 +389,18 @@ class TestLearnPipeline:
         assert np.array_equal(r1.chosen, r2.chosen)
         assert r1.empirical_error == r2.empirical_error
         assert np.array_equal(r1.candidate_errors, r2.candidate_errors)
+
+    def test_psgd_seed_changes_nothing(self):
+        r1 = learn(*_small_learn_setup(eta_bound=0.2)[:2], psgd_seed=1)
+        r2 = learn(*_small_learn_setup(eta_bound=0.2)[:2], psgd_seed=2)
+        assert np.array_equal(r1.chosen, r2.chosen)
+        assert np.array_equal(r1.candidate_errors, r2.candidate_errors)
+        assert np.array_equal(r1.trajectory.iterates, r2.trajectory.iterates)
+
+    def test_default_start_is_first_axis(self):
+        oracle, params, _ = _small_learn_setup(eta_bound=0.2)
+        report = learn(oracle, dataclasses.replace(params, steps_override=10))
+        assert np.array_equal(report.trajectory.iterates[0], [1.0, 0.0])
 
     def test_learns_under_bounded_noise(self):
         oracle, params, target = _small_learn_setup(eta_bound=0.2)

@@ -99,22 +99,6 @@ class TestSingleRun:
         expected = (E1_3 + e2) / math.sqrt(2.0)
         assert np.allclose(traj.iterates[-1], expected, atol=1e-15)
 
-    def test_default_start_is_first_axis(self):
-        traj = psgd_run(_stream(np.zeros((1, 4))), PsgdConfig(steps=1, step_size=0.1), dim=4,
-                        dloss=_unit_slope)
-        assert np.array_equal(traj.iterates[0], np.array([1.0, 0.0, 0.0, 0.0]))
-
-    def test_needs_w0_or_dim(self):
-        with pytest.raises(ValueError):
-            psgd_run(_stream(np.zeros((1, 3))), PsgdConfig(steps=1, step_size=0.1), dloss=_unit_slope)
-
-    def test_w0_and_dim_must_agree(self):
-        cfg = PsgdConfig(steps=1, step_size=0.1)
-        with pytest.raises(ValueError, match="w0 has dimension 3 but dim is 5"):
-            psgd_run(_stream(np.zeros((1, 3))), cfg, w0=E1_3, dim=5, dloss=_unit_slope)
-        traj = psgd_run(_stream(np.zeros((1, 3))), cfg, w0=E1_3, dim=3, dloss=_unit_slope)
-        assert traj.iterates.shape == (2, 3)
-
     def test_rejects_non_unit_start(self):
         cfg = PsgdConfig(steps=1, step_size=0.1)
         for w0 in (np.array([1.0, 1.0]), np.array([math.nan, 0.0]), np.array([[1.0, 0.0]])):
