@@ -123,7 +123,12 @@ class Schedule:
     @property
     def candidate_count(self) -> int:
         """Recorded iterates of the PSGD run, each with its negation."""
-        return 2 * recorded_count(self.steps, self.record_every)
+        return _candidate_count(self.steps, self.record_every)
+
+
+def _candidate_count(steps: int, record_every: int) -> int:
+    """Schedule.candidate_count, before the Schedule exists."""
+    return 2 * recorded_count(steps, record_every)
 
 
 def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq: float) -> int:
@@ -133,9 +138,8 @@ def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq:
         return params.selection_override
     if params.mode == "theoretical":
         return max(2, math.ceil(math.log(steps / params.delta) / gap_sq))
-    candidates = 2 * recorded_count(steps, record_every)
     return max(2, math.ceil(
-        PRACTICAL_SELECTION_SCALE * math.log(candidates / params.delta) / gap_sq
+        PRACTICAL_SELECTION_SCALE * math.log(_candidate_count(steps, record_every) / params.delta) / gap_sq
     ))
 
 
@@ -339,7 +343,7 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
         chosen_step=step,
         empirical_error=err,
         candidate_errors=errors,
-        candidate_count=candidates.shape[0],
+        candidate_count=sched.candidate_count,
         schedule=sched,
         samples_used=sched.steps + sched.selection_samples,
         trajectory=trajectory,

@@ -8,7 +8,9 @@ tangent to w, so ||w - step_size * g||^2 = 1 + (step_size * dloss(m))^2 *
 (zz - m^2) >= 1 is a scalar and the projection never blows a step up. Both
 runs record step 0, every record_every-th step, and the last step when
 record_every does not divide steps: recorded_count(steps, record_every)
-iterates, each stored when its segment of steps ends.
+iterates, each stored when its segment of steps ends. The single run's
+segments go through a kernel generated once per dimension d, which holds
+the iterate in d local floats, so no step builds a list.
 
 For a smooth bounded objective the guarantees are parameter-free in
 shape: with step_size sqrt(2 * value_range / (smoothness * grad_sq_bound
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -85,37 +88,67 @@ def _unit_starts(w0s, ndim: int) -> np.ndarray:
     return W
 
 
+_OVERFLOW = "a sum passed the float range"
+
+
+@lru_cache
+def _segment_kernel(d: int):
+    """psgd_run's steps between two record steps, with v held in d local floats.
+
+    Generated once per dimension from source built of integers only, so a
+    step builds no list: its margin is one fsum of a d-tuple and its update
+    one d-way assignment, the same IEEE operations coordinate by coordinate
+    as a list loop. Unpacking z is the length check.
+    """
+    v = "".join(f"v{k}, " for k in range(d))
+    z = "".join(f"z{k}, " for k in range(d))
+    source = f"""\
+def segment(steps, i, v, s, beta, dloss):
+    {v}= v
+    try:  # fsum rounds alike on every Python version, but may overflow on finite terms
+        for i, (({z}), zz) in steps:
+            m = fsum(({"".join(f"z{k} * v{k}, " for k in range(d))})) * s
+            b = beta * dloss(m)
+            a = (1.0 - b * m) * s  # w - beta * g = a * v + b * z
+            {v}= {"".join(f"a * v{k} + b * z{k}, " for k in range(d))}
+            n2 = 1.0 + b * b * (zz - m * m)
+            if not 0.0 < n2 < inf:
+                raise PsgdDivergenceError(step=i, detail="non-finite or non-positive squared norm")
+            s = 1.0 / sqrt(n2)
+    except OverflowError:
+        raise PsgdDivergenceError(step=i, detail=OVERFLOW) from None
+    return i, ({v}), s
+"""
+    namespace = {"fsum": math.fsum, "sqrt": math.sqrt, "inf": math.inf, "OVERFLOW": _OVERFLOW,
+                 "PsgdDivergenceError": PsgdDivergenceError}
+    exec(compile(source, f"<psgd segment, d={d}>", "exec"), namespace)
+    return namespace["segment"]
+
+
 def psgd_run(examples, config: PsgdConfig, w0, *, dloss) -> Trajectory:
     """Run projected SGD of a margin loss from the unit w0; return the recorded trajectory.
 
     Step i takes the i-th (z, zz) of examples, z a sequence of d floats
     (another length raises ValueError), and dloss(m) is the r of the
-    gradient -r * (z - m * w). The loop keeps v as a list of Python floats
-    and s = 1/||v||, so w = s * v and a step is one list, v <- a * v + b * z.
-    A non-finite or non-positive squared norm aborts with PsgdDivergenceError
-    at its step, as does a record step whose exact ||v|| is off 1/s by over
-    1e-9 relative: a stream whose zz is not ||z||^2.
+    gradient -r * (z - m * w). The steps keep v in d local floats of the
+    dimension's generated kernel and carry s = 1/||v||, so w = s * v and
+    a step is v <- a * v + b * z. A non-finite or non-positive squared
+    norm aborts with PsgdDivergenceError at its step, as does a record
+    step whose exact ||v|| is off 1/s by over 1e-9 relative: a stream
+    whose zz is not ||z||^2.
     """
-    v, s = _unit_starts(w0, 1).tolist(), 1.0
+    v, s, i = _unit_starts(w0, 1).tolist(), 1.0, 0
+    segment = _segment_kernel(len(v))
     beta = config.step_size
     record = _recorded_steps(config.steps, config.record_every)
     iterates = np.empty((record.shape[0], len(v)))
     iterates[0] = v
     for slot in range(1, record.shape[0]):
-        i = record[slot - 1]
-        try:  # fsum rounds alike on every Python version, but may overflow on finite terms
-            for i, (z, zz) in zip(range(i + 1, record[slot] + 1), examples):
-                m = math.fsum(map(mul, z, v)) * s
-                b = beta * dloss(m)
-                a = (1.0 - b * m) * s  # w - beta * g = a * v + b * z
-                v = [a * vi + b * zi for vi, zi in zip(v, z, strict=True)]
-                n2 = 1.0 + b * b * (zz - m * m)
-                if not 0.0 < n2 < math.inf:
-                    raise PsgdDivergenceError(step=i, detail="non-finite or non-positive squared norm")
-                s = 1.0 / math.sqrt(n2)
+        i, v, s = segment(zip(range(i + 1, record[slot] + 1), examples), i, v, s, beta, dloss)
+        try:
             nv = math.sqrt(math.fsum(map(mul, v, v)))
         except OverflowError:
-            raise PsgdDivergenceError(step=i, detail="a sum passed the float range") from None
+            raise PsgdDivergenceError(step=i, detail=_OVERFLOW) from None
         if i != record[slot]:
             raise ValueError(f"the example stream ended before step {i + 1} of {config.steps}")
         if not abs(nv * s - 1.0) <= 1e-9:

@@ -1,11 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import massart_halfspace
 from massart_halfspace import (
     PsgdConfig,
     PsgdDivergenceError,
@@ -15,7 +21,7 @@ from massart_halfspace import (
     theoretical_iteration_count,
     theoretical_step_size,
 )
-from massart_halfspace.psgd import _recorded_steps, recorded_count
+from massart_halfspace.psgd import _recorded_steps, _segment_kernel, recorded_count
 
 E1_3 = np.array([1.0, 0.0, 0.0])
 
@@ -47,6 +53,25 @@ def _margin_reference(start, zs, beta, dloss):
         w = v / np.linalg.norm(v)
         out.append(w)
     return np.array(out)
+
+
+def _list_loop(examples, config, w0, dloss):
+    """The single run as one list per step: v <- [a * vi + b * zi], the
+    loop the generated kernel replaces, kept as its bit-level reference."""
+    v, s = list(w0), 1.0
+    record = _recorded_steps(config.steps, config.record_every)
+    iterates = [list(v)]
+    for slot in range(1, record.shape[0]):
+        for z, zz in itertools.islice(examples, record[slot] - record[slot - 1]):
+            m = math.fsum(map(mul, z, v)) * s
+            b = config.step_size * dloss(m)
+            a = (1.0 - b * m) * s
+            v = [a * vi + b * zi for vi, zi in zip(v, z, strict=True)]
+            s = 1.0 / math.sqrt(1.0 + b * b * (zz - m * m))
+        nv = math.sqrt(math.fsum(map(mul, v, v)))
+        iterates.append([vi / nv for vi in v])
+        s = 1.0 / nv
+    return record, np.array(iterates)
 
 
 def _stream(zs):
@@ -188,6 +213,31 @@ class TestSingleRun:
             psgd_run(misshapen(), PsgdConfig(steps=5, step_size=0.1), w0=E1_3, dloss=_unit_slope)
         assert pulled == [length]
 
+    def test_wrong_length_example_mid_segment_pulls_nothing_past_it(self):
+        pulled = []
+
+        def third_misshapen():
+            for k in itertools.count(1):
+                pulled.append(k)
+                z = [0.1] * (4 if k == 3 else 3)
+                yield z, math.fsum(zi * zi for zi in z)
+
+        with pytest.raises(ValueError):
+            psgd_run(third_misshapen(), PsgdConfig(steps=5, step_size=0.1, record_every=5), w0=E1_3,
+                     dloss=_unit_slope)
+        assert pulled == [1, 2, 3]
+
+    def test_record_norm_past_the_float_range_aborts_at_its_step(self):
+        # step 3 makes v = e1 + 0.1 z: each of its squares is finite, their
+        # sum is not. zz is misstated as 1, so the carried norm stays finite
+        # and only the record step's exact norm overflows.
+        huge = [0.0, 1.2e155, 1.2e155]
+        examples = iter([([0.0] * 3, 0.0), ([0.0] * 3, 0.0), (huge, 1.0)])
+        with pytest.raises(PsgdDivergenceError) as info:
+            psgd_run(examples, PsgdConfig(steps=3, step_size=0.1, record_every=3), w0=E1_3,
+                     dloss=_unit_slope)
+        assert info.value.step == 3
+
     def test_non_positive_squared_norm_aborts(self):
         # z = 10 w with zz misstated as 0: 1 + b^2 (zz - m^2) = 1 - 0.01 * 100 = 0
         with pytest.raises(PsgdDivergenceError) as info:
@@ -242,6 +292,39 @@ class TestSingleRun:
         zs = 100.0 * np.random.default_rng(5).standard_normal((100, 3))
         traj = psgd_run(_stream(zs), PsgdConfig(steps=100, step_size=1.0), w0=E1_3, dloss=_unit_slope)
         assert np.all(np.isfinite(traj.iterates))
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10, 64])
+    def test_matches_the_list_loop_bit_for_bit(self, dim):
+        # 1,000 steps recorded every 7th: the last segment is 6 steps long
+        zs = np.random.default_rng(dim).standard_normal((1000, dim))
+        start = np.random.default_rng(100 + dim).standard_normal(dim)
+        start /= np.linalg.norm(start)
+        cfg = PsgdConfig(steps=1000, step_size=0.05, record_every=7)
+        traj = psgd_run(_stream(zs), cfg, w0=start, dloss=_bump)
+        record, iterates = _list_loop(_stream(zs), cfg, start.tolist(), _bump)
+        assert np.array_equal(traj.step_indices, record)
+        assert np.array_equal(traj.iterates, iterates)
+        if dim > 1:  # every segment moved; in one dimension the iterate cannot
+            assert np.min(np.linalg.norm(np.diff(iterates, axis=0), axis=1)) > 0.0
+
+    def test_built_once_per_dimension(self):
+        _segment_kernel.cache_clear()
+        cfg = PsgdConfig(steps=12, step_size=0.1, record_every=5)
+        for dim in (4, 4, 2, 4):
+            psgd_run(_stream(np.ones((12, dim))), cfg, w0=np.eye(1, dim)[0], dloss=_bump)
+        info = _segment_kernel.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert _segment_kernel(4) is _segment_kernel(4)
+
+    def test_no_kernel_is_built_at_import(self):
+        code = "import massart_halfspace.psgd as p; print(p._segment_kernel.cache_info().currsize)"
+        package_root = str(Path(massart_halfspace.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 10, 12])
