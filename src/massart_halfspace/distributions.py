@@ -22,14 +22,13 @@ Monte-Carlo code uses for importance sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import UnderpoweredCheckError
 from .geometry import BoundedProfile, check_orthonormal_basis
-from .rng import derive_seed, make_rng
 
 SAMPLER_KINDS = (
     "standard_gaussian",
@@ -61,20 +60,17 @@ def support_radius(kind: str, dim: int) -> float | None:
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarginalSampler:
-    """Seeded sampler for one of the isotropic marginal families.
+    """One of the isotropic marginal families in dimension dim.
 
-    The instance owns its generator: successive `sample` calls continue
-    one stream, and two instances built with the same (kind, dim, seed)
-    produce bitwise identical output. Pass an explicit generator to
-    `sample` to draw from a caller-managed stream instead.
+    A sampler is a distribution, not a stream: `sample` draws from the
+    generator its caller passes, so equal generators give bitwise equal
+    points.
     """
 
     kind: str
     dim: int
-    seed: int = 0
-    _rng: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -86,18 +82,10 @@ class MarginalSampler:
         if self.kind == "uniform_sphere_scaled" and self.dim < 2:
             raise ValueError("uniform_sphere_scaled requires dim >= 2")
 
-    def spawn(self, *path: int) -> "MarginalSampler":
-        """Same configuration on an independent substream."""
-        return MarginalSampler(self.kind, self.dim, derive_seed(self.seed, *path))
-
-    def sample(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw an (n, dim) array of points."""
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw an (n, dim) array of points from rng."""
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"sample count must be a non-negative integer, got {n!r}")
-        if rng is None:
-            if self._rng is None:
-                self._rng = make_rng(self.seed)
-            rng = self._rng
         d = self.dim
         if self.kind == "standard_gaussian":
             return rng.standard_normal((n, d))
@@ -217,11 +205,12 @@ def empirical_density_check(
     basis: tuple[np.ndarray, np.ndarray],
     profile: BoundedProfile,
     n: int,
+    rng: np.random.Generator,
     grid: int = 6,
     slack: float = DENSITY_SLACK,
     tail_eps: tuple[float, ...] = TAIL_EPS_DEFAULT,
 ) -> DensityCheckReport:
-    """Histogram a 2-d projection of sampler output against a profile.
+    """Histogram a 2-d projection of n points drawn from rng against a profile.
 
     Cells fully inside the lower-bound disk must show empirical density
     within [1/(U*(1+slack)), U*(1+slack)] for U the density bound, and the
@@ -236,7 +225,7 @@ def empirical_density_check(
     if n < 1:
         raise ValueError("need at least one sample")
     b1, b2 = check_orthonormal_basis(basis)
-    pts = sampler.sample(n)
+    pts = sampler.sample(n, rng)
     proj = np.column_stack((pts @ b1, pts @ b2))
 
     radius = profile.inner_radius

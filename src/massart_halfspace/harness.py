@@ -169,7 +169,7 @@ SCHEMA = {
     "learn.eps": Key("float", 0.1),
     "learn.delta": Key("float", 0.1),
     "learn.budget": Key("int"),
-    "learn.record_every": Key("int", 0),
+    "learn.record_every": Key("int", 0, bounds=(0, 2**63 - 1)),  # a recorded step index is an int64
     "learn.steps": Key("int"),
     "learn.step_size": Key("float"),
     "learn.sigma": Key("float"),
@@ -317,9 +317,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def measure_disagreement(
-    h: np.ndarray, target: np.ndarray, marginal: MarginalSampler, n: int
+    h: np.ndarray, target: np.ndarray, marginal: MarginalSampler, n: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Fresh-sample estimate of Pr[sign<h,x> != sign<target,x>].
+    """Estimate of Pr[sign<h,x> != sign<target,x>] on n fresh points drawn from rng.
 
     Returns (estimate, binomial stderr), counted by select_hypothesis against
     the target's labels. Identical h and target give an exact zero where BLAS
@@ -329,7 +329,7 @@ def measure_disagreement(
         raise ValueError(f"need at least 1000 evaluation samples, got {n}")
     h = require_unit(h, "hypothesis")
     target = require_unit(target, "target")
-    xs = marginal.sample(n)
+    xs = marginal.sample(n, rng)
     p = select_hypothesis(h[None, :], xs, sign_of(xs @ target))[1]
     return p, math.sqrt(p * (1.0 - p) / n)
 
@@ -383,8 +383,8 @@ def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]
         report = learn(oracle, params)
     except _ABORTS as exc:  # recorded, run continues
         return {**LEARN_COLUMNS, "trial": trial, "seed": oracle_seed, "verdict": f"abort:{type(exc).__name__}"}, []
-    eval_marginal = replace(config.marginal, seed=derive_seed(seed, trial, _ROLE_EVAL))
-    dis, dis_se = measure_disagreement(report.chosen, target, eval_marginal, n_eval)
+    eval_rng = make_rng(derive_seed(seed, trial, _ROLE_EVAL))
+    dis, dis_se = measure_disagreement(report.chosen, target, config.marginal, n_eval, eval_rng)
     eval_oracle = oracle.spawn(_ROLE_EVAL)
     batch = eval_oracle.draw(n_eval)
     noisy_err = select_hypothesis(report.chosen[None, :], batch.xs, batch.ys)[1]
@@ -396,13 +396,14 @@ def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]
         noisy_se = math.sqrt(max(noisy_err * (1.0 - noisy_err), 0.0) / n_eval)
         ok = excess <= params.eps + 3.0 * math.hypot(noisy_se, opt_se)
     sched = report.schedule
+    step, sign = candidate_step_sign(report.trajectory.step_indices, report.chosen_index)
     row = {
         "trial": trial, "seed": oracle_seed, "disagreement": dis, "disagreement_stderr": dis_se,
         "noisy_error": noisy_err, "opt_estimate": opt_est, "opt_stderr": opt_se,
-        "excess_error": excess, "samples_used": report.samples_used, "steps": sched.steps,
+        "excess_error": excess, "samples_used": sched.steps + sched.selection_samples, "steps": sched.steps,
         "step_size": sched.step_size, "sigma": sched.sigma, "selection_samples": sched.selection_samples,
-        "candidate_count": report.candidate_count, "chosen_step": report.chosen_step,
-        "chosen_sign": report.chosen_sign, "verdict": "pass" if ok else "fail",
+        "candidate_count": report.candidate_count, "chosen_step": step,
+        "chosen_sign": sign, "verdict": "pass" if ok else "fail",
         "wall_time_s": round(report.wall_time_s, 3), "angle_to_target": angle_between(report.chosen, target),
     }
     curves = [[trial, *candidate_step_sign(report.trajectory.step_indices, j), float(err)]
@@ -514,11 +515,9 @@ def _run_gradcheck(config: ExperimentConfig, out: Path) -> int:
 
 def _run_bench(config: ExperimentConfig, out: Path) -> int:
     n, seed = config.values["bench.samples"], config.values["base_seed"]
-    marginal = replace(config.marginal, seed=derive_seed(seed, 0))
+    marginal, rng = config.marginal, make_rng(derive_seed(seed, 0))
     target = _random_unit(make_rng(seed, _ROLE_TARGET), marginal.dim)
-    oracle = MassartOracle(
-        target=target, strategy=config.noise, marginal=marginal.spawn(1), seed=derive_seed(seed, 1)
-    )
+    oracle = MassartOracle(target=target, strategy=config.noise, marginal=marginal, seed=derive_seed(seed, 1))
     rows: list[list] = []
 
     def timed(component: str, count: int, fn) -> None:
@@ -527,7 +526,7 @@ def _run_bench(config: ExperimentConfig, out: Path) -> int:
         dt = time.perf_counter() - t0
         rows.append([component, count, round(dt, 6), round(1e9 * dt / max(count, 1), 1)])
 
-    timed("marginal_sample", n, lambda: marginal.sample(n))
+    timed("marginal_sample", n, lambda: marginal.sample(n, rng))
     timed("oracle_draw", n, lambda: oracle.draw(n))
     batch = oracle.draw(min(n, 65536))
     spec = SurrogateSpec(kind="sigmoid", sigma=0.25)

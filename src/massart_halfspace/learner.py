@@ -273,15 +273,14 @@ def candidate_step_sign(step_indices: np.ndarray, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LearnReport:
+    """A learn() run: candidate_step_sign(trajectory.step_indices, chosen_index)
+    names the chosen candidate's PSGD step and sign."""
+
     chosen: np.ndarray
     chosen_index: int
-    chosen_sign: int              # +1 if a recorded iterate, -1 if its negation
-    chosen_step: int              # PSGD step index of the underlying iterate
-    empirical_error: float
-    candidate_errors: np.ndarray
+    candidate_errors: np.ndarray  # selection error of each candidate
     candidate_count: int
     schedule: Schedule
-    samples_used: int
     trajectory: Trajectory
     wall_time_s: float
 
@@ -333,19 +332,14 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
             yield sel.xs, sel.ys
             del sel  # dead before the next slab is drawn
 
-    idx, err, errors = _select(candidates, slabs(), n)
-    step, sign = candidate_step_sign(trajectory.step_indices, idx)
+    idx, _, errors = _select(candidates, slabs(), n)
 
     return LearnReport(
         chosen=candidates[idx],
         chosen_index=idx,
-        chosen_sign=sign,
-        chosen_step=step,
-        empirical_error=err,
         candidate_errors=errors,
         candidate_count=sched.candidate_count,
         schedule=sched,
-        samples_used=sched.steps + sched.selection_samples,
         trajectory=trajectory,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -138,19 +138,20 @@ class Draw:
 class MassartOracle:
     """Noisy example oracle for a fixed target halfspace.
 
-    Owns two substreams derived from `seed`: one drives the marginal
-    sampler, the other the flip decisions. `spawn` derives an
-    independent oracle (same configuration, disjoint streams) for
-    parallel trials or held-out selection samples.
+    Owns three substreams derived from `seed`, made when it is built: one
+    draws the points from the marginal, one the flip decisions, and one
+    the fresh points of `opt_error`. `spawn` derives an independent
+    oracle (same configuration, disjoint streams) for parallel trials or
+    held-out selection samples.
     """
 
     target: np.ndarray
     strategy: NoiseStrategy
     marginal: MarginalSampler
     seed: int = 0
-    _x_rng: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
-    _flip_rng: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
-    _opt_rng: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
+    _x_rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    _flip_rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    _opt_rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.target = require_unit(self.target, "target")
@@ -159,12 +160,9 @@ class MassartOracle:
                 f"target dimension {self.target.shape[0]} does not match "
                 f"marginal dimension {self.marginal.dim}"
             )
-
-    def _streams(self):
-        if self._x_rng is None:
-            self._x_rng = make_rng(self.seed, STREAM_X)
-            self._flip_rng = make_rng(self.seed, STREAM_FLIP)
-        return self._x_rng, self._flip_rng
+        self._x_rng = make_rng(self.seed, STREAM_X)
+        self._flip_rng = make_rng(self.seed, STREAM_FLIP)
+        self._opt_rng = make_rng(self.seed, STREAM_OPT)
 
     def spawn(self, *path: int) -> "MassartOracle":
         return MassartOracle(
@@ -176,12 +174,11 @@ class MassartOracle:
 
     def draw(self, n: int) -> Draw:
         """Draw n noisy labeled examples, advancing the oracle streams."""
-        x_rng, flip_rng = self._streams()
-        xs = self.marginal.sample(n, rng=x_rng)
+        xs = self.marginal.sample(n, self._x_rng)
         margins = xs @ self.target
         clean = sign_of(margins)
         rates = noise_rates(self.strategy, self.target, xs, margins=margins)
-        flips = flip_rng.random(n) < rates
+        flips = self._flip_rng.random(n) < rates
         ys = np.where(flips, -clean, clean)
         return Draw(xs=xs, ys=ys, flipped=flips)
 
@@ -193,9 +190,7 @@ class MassartOracle:
         """
         if n < 2:
             raise ValueError("opt_error needs at least 2 samples")
-        if self._opt_rng is None:
-            self._opt_rng = make_rng(self.seed, STREAM_OPT)
-        xs = self.marginal.sample(n, rng=self._opt_rng)
+        xs = self.marginal.sample(n, self._opt_rng)
         rates = noise_rates(self.strategy, self.target, xs)
         est = float(np.mean(rates))
         stderr = float(np.std(rates, ddof=1) / math.sqrt(n))

@@ -34,16 +34,14 @@ from operator import mul
 import numpy as np
 
 from .errors import PsgdDivergenceError
-from .rng import STREAM_PSGD, make_rng
 
 
 @dataclass(frozen=True)
 class PsgdConfig:
-    """A run's schedule; seed feeds only psgd_run_batch's oracle generator, as psgd_run draws nothing."""
+    """A run's schedule: its step count, step size and recording interval."""
 
     steps: int
     step_size: float
-    seed: int = 0
     record_every: int = 1
 
     def __post_init__(self):
@@ -158,17 +156,17 @@ def psgd_run(examples, config: PsgdConfig, w0, *, dloss) -> Trajectory:
     return Trajectory(step_indices=record, iterates=iterates)
 
 
-def psgd_run_batch(batch_oracle, config: PsgdConfig, w0s: np.ndarray) -> Trajectory:
+def psgd_run_batch(batch_oracle, config: PsgdConfig, w0s: np.ndarray, rng: np.random.Generator) -> Trajectory:
     """Lockstep projected SGD from many starts at once.
 
     Applies the projected step of `psgd_run` to every row of w0s in
     parallel via array arithmetic; batch_oracle(W, rng) must return one
-    full gradient per row of W. Intended for experiment throughput (many
-    seeds or trials of the same configuration); the recorded `iterates`
-    have shape (k, m, d) for m starts.
+    full gradient per row of W, given the caller's generator rng.
+    Intended for experiment throughput (many seeds or trials of the same
+    configuration); the recorded `iterates` have shape (k, m, d) for m
+    starts.
     """
     W = _unit_starts(w0s, 2)
-    rng = make_rng(config.seed, STREAM_PSGD)
     beta = config.step_size
     record = _recorded_steps(config.steps, config.record_every)
     iterates = np.empty((record.shape[0],) + W.shape)

@@ -19,6 +19,7 @@ from massart_halfspace import (
 )
 from massart_halfspace.distributions import SAMPLER_KINDS, support_radius
 from massart_halfspace.geometry import BoundedProfile
+from massart_halfspace.rng import make_rng
 
 # two-sample Kolmogorov-Smirnov critical statistic at the 1% level
 _KS_1PCT = 1.628 * math.sqrt(2.0 / 100_000)
@@ -61,23 +62,9 @@ class TestSamplerStreams:
         ("uniform_disk_2d", 2),
     ])
     def test_same_seed_bitwise_identical(self, kind, dim):
-        a = MarginalSampler(kind=kind, dim=dim, seed=123).sample(500)
-        b = MarginalSampler(kind=kind, dim=dim, seed=123).sample(500)
+        a = MarginalSampler(kind=kind, dim=dim).sample(500, make_rng(123))
+        b = MarginalSampler(kind=kind, dim=dim).sample(500, make_rng(123))
         assert np.array_equal(a, b)
-
-    def test_stream_continues_across_calls(self):
-        s = MarginalSampler(kind="standard_gaussian", dim=3, seed=9)
-        joined = np.vstack([s.sample(100), s.sample(100)])
-        whole = MarginalSampler(kind="standard_gaussian", dim=3, seed=9).sample(200)
-        assert np.array_equal(joined, whole)
-
-    def test_spawn_gives_distinct_stream(self):
-        s = MarginalSampler(kind="standard_gaussian", dim=3, seed=9)
-        t = s.spawn(1)
-        u = s.spawn(2)
-        a, b, c = s.sample(100), t.sample(100), u.sample(100)
-        assert not np.array_equal(a, b)
-        assert not np.array_equal(b, c)
 
 
 class TestSamplerLaws:
@@ -89,7 +76,7 @@ class TestSamplerLaws:
     ])
     def test_isotropy_at_one_million(self, kind, dim):
         n = 1_000_000
-        xs = MarginalSampler(kind=kind, dim=dim, seed=31).sample(n)
+        xs = MarginalSampler(kind=kind, dim=dim).sample(n, make_rng(31))
         mean_tol = 5.0 / math.sqrt(n)
         assert np.all(np.abs(xs.mean(axis=0)) <= mean_tol)
         m4 = (xs**4).mean(axis=0)
@@ -98,7 +85,7 @@ class TestSamplerLaws:
 
     def test_disk_support_and_mass_ratio(self):
         n = 1_000_000
-        xs = MarginalSampler(kind="uniform_disk_2d", dim=2, seed=5).sample(n)
+        xs = MarginalSampler(kind="uniform_disk_2d", dim=2).sample(n, make_rng(5))
         norms = np.linalg.norm(xs, axis=1)
         assert float(norms.max()) <= 2.0
         # concentric disk of half the radius carries a quarter of the area
@@ -106,11 +93,11 @@ class TestSamplerLaws:
         assert abs(p - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / n)
 
     def test_sphere_norms_are_constant(self):
-        xs = MarginalSampler(kind="uniform_sphere_scaled", dim=6, seed=7).sample(10_000)
+        xs = MarginalSampler(kind="uniform_sphere_scaled", dim=6).sample(10_000, make_rng(7))
         assert np.allclose(np.linalg.norm(xs, axis=1), math.sqrt(6.0), atol=1e-12)
 
     def test_ball_norms_within_radius(self):
-        xs = MarginalSampler(kind="uniform_ball_isotropic", dim=4, seed=8).sample(100_000)
+        xs = MarginalSampler(kind="uniform_ball_isotropic", dim=4).sample(100_000, make_rng(8))
         assert float(np.linalg.norm(xs, axis=1).max()) <= math.sqrt(6.0)
 
     @pytest.mark.parametrize("kind,dim", [
@@ -124,8 +111,8 @@ class TestSamplerLaws:
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         u = rng.standard_normal(dim)
         u /= np.linalg.norm(u)
-        xs = MarginalSampler(kind=kind, dim=dim, seed=15).sample(n)
-        ys = MarginalSampler(kind=kind, dim=dim, seed=16).sample(n)
+        xs = MarginalSampler(kind=kind, dim=dim).sample(n, make_rng(15))
+        ys = MarginalSampler(kind=kind, dim=dim).sample(n, make_rng(16))
         stat = stats.ks_2samp(xs @ u, (ys @ q.T) @ u).statistic
         assert stat <= _KS_1PCT
 
@@ -188,8 +175,8 @@ class TestEmpiricalDensityCheck:
         return b1, b2
 
     def test_disk_passes_against_exact_profile(self):
-        sampler = MarginalSampler(kind="uniform_disk_2d", dim=2, seed=21)
-        report = empirical_density_check(sampler, self._basis(2), disk_profile(), n=200_000)
+        sampler, rng = MarginalSampler(kind="uniform_disk_2d", dim=2), make_rng(21)
+        report = empirical_density_check(sampler, self._basis(2), disk_profile(), n=200_000, rng=rng)
         assert report.passed
         assert report.tail_passed
         assert not report.failures()
@@ -197,32 +184,32 @@ class TestEmpiricalDensityCheck:
     def test_disk_fails_overclaimed_density_floor(self):
         # density bound 2 promises cell density >= 1/3 with the default
         # slack, but the true value on the radius-2 disk is 1/(4*pi)
-        sampler = MarginalSampler(kind="uniform_disk_2d", dim=2, seed=22)
+        sampler, rng = MarginalSampler(kind="uniform_disk_2d", dim=2), make_rng(22)
         overclaimed = BoundedProfile(
             density_bound=2.0, inner_radius=0.5, tail_radius=lambda e: 2.0
         )
-        report = empirical_density_check(sampler, self._basis(2), overclaimed, n=100_000)
+        report = empirical_density_check(sampler, self._basis(2), overclaimed, n=100_000, rng=rng)
         assert not report.passed
         assert any(c.verdict == "fail_low" for c in report.failures())
 
     def test_gaussian_passes_against_logconcave_profile(self):
-        sampler = MarginalSampler(kind="standard_gaussian", dim=2, seed=23)
+        sampler, rng = MarginalSampler(kind="standard_gaussian", dim=2), make_rng(23)
         report = empirical_density_check(
-            sampler, self._basis(2), logconcave_profile(16.0), n=500_000
+            sampler, self._basis(2), logconcave_profile(16.0), n=500_000, rng=rng
         )
         assert report.passed
 
     def test_underpowered_raises(self):
-        sampler = MarginalSampler(kind="standard_gaussian", dim=2, seed=24)
+        sampler, rng = MarginalSampler(kind="standard_gaussian", dim=2), make_rng(24)
         with pytest.raises(UnderpoweredCheckError):
-            empirical_density_check(sampler, self._basis(2), logconcave_profile(16.0), n=2_000)
+            empirical_density_check(sampler, self._basis(2), logconcave_profile(16.0), n=2_000, rng=rng)
 
     def test_input_validation(self):
-        sampler = MarginalSampler(kind="uniform_disk_2d", dim=2, seed=25)
+        sampler, rng = MarginalSampler(kind="uniform_disk_2d", dim=2), make_rng(25)
         with pytest.raises(ValueError):
-            empirical_density_check(sampler, self._basis(2), disk_profile(), n=1000, grid=1)
+            empirical_density_check(sampler, self._basis(2), disk_profile(), n=1000, rng=rng, grid=1)
         with pytest.raises(ValueError):
-            empirical_density_check(sampler, self._basis(2), disk_profile(), n=0)
+            empirical_density_check(sampler, self._basis(2), disk_profile(), n=0, rng=rng)
 
 
 class TestPlaneDensity:
@@ -257,7 +244,7 @@ class TestPlaneDensity:
         m = pd.sample_marginal(n, rng)
         u = pd.sample_conditional(m, rng)
         analytic_radii = np.hypot(m, u)
-        xs = MarginalSampler(kind=kind, dim=dim, seed=78).sample(n)
+        xs = MarginalSampler(kind=kind, dim=dim).sample(n, make_rng(78))
         direct_radii = np.hypot(xs[:, 0], xs[:, 1])
         assert stats.ks_2samp(analytic_radii, direct_radii).statistic <= _KS_1PCT
 

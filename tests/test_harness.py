@@ -46,6 +46,7 @@ from massart_halfspace.harness import (
     read_config,
     run,
 )
+from massart_halfspace.rng import make_rng
 from massart_halfspace.verify import lemma_sigma_cap
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -415,42 +416,42 @@ class TestLoadConfig:
 
 class TestMeasureDisagreement:
     def test_needs_a_thousand_samples(self):
-        marginal = MarginalSampler(kind="standard_gaussian", dim=3, seed=0)
+        marginal, rng = MarginalSampler(kind="standard_gaussian", dim=3), make_rng(0)
         h = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="1000"):
-            measure_disagreement(h, h, marginal, 999)
+            measure_disagreement(h, h, marginal, 999, rng)
 
     def test_identical_vectors_give_exact_zero(self):
-        marginal = MarginalSampler(kind="standard_gaussian", dim=4, seed=7)
+        marginal, rng = MarginalSampler(kind="standard_gaussian", dim=4), make_rng(7)
         h = np.array([0.5, 0.5, 0.5, 0.5])
-        estimate, stderr = measure_disagreement(h, h.copy(), marginal, 1000)
+        estimate, stderr = measure_disagreement(h, h.copy(), marginal, 1000, rng)
         assert estimate == 0.0
         assert stderr == 0.0
 
     def test_opposite_vectors_give_one(self):
-        marginal = MarginalSampler(kind="standard_gaussian", dim=4, seed=8)
+        marginal, rng = MarginalSampler(kind="standard_gaussian", dim=4), make_rng(8)
         h = np.array([0.5, 0.5, 0.5, 0.5])
-        estimate, _ = measure_disagreement(h, -h, marginal, 2000)
+        estimate, _ = measure_disagreement(h, -h, marginal, 2000, rng)
         assert estimate == 1.0
 
     def test_disk_angle_gives_theta_over_pi(self):
         # On the uniform disk the disagreement wedge has mass theta/pi.
         theta = math.pi / 4
-        marginal = MarginalSampler(kind="uniform_disk_2d", dim=2, seed=11)
+        marginal, rng = MarginalSampler(kind="uniform_disk_2d", dim=2), make_rng(11)
         h = np.array([1.0, 0.0])
         target = np.array([math.cos(theta), math.sin(theta)])
         n = 200_000
-        estimate, stderr = measure_disagreement(h, target, marginal, n)
+        estimate, stderr = measure_disagreement(h, target, marginal, n, rng)
         assert abs(estimate - 0.25) <= 5.0 * math.sqrt(0.25 * 0.75 / n)
         assert stderr == pytest.approx(math.sqrt(estimate * (1 - estimate) / n))
 
     def test_non_unit_vectors_rejected(self):
-        marginal = MarginalSampler(kind="standard_gaussian", dim=2, seed=0)
+        marginal, rng = MarginalSampler(kind="standard_gaussian", dim=2), make_rng(0)
         unit = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
-            measure_disagreement(2.0 * unit, unit, marginal, 1000)
+            measure_disagreement(2.0 * unit, unit, marginal, 1000, rng)
         with pytest.raises(ValueError):
-            measure_disagreement(unit, 2.0 * unit, marginal, 1000)
+            measure_disagreement(unit, 2.0 * unit, marginal, 1000, rng)
 
 
 # --------------------------------------------------------------------------
@@ -562,7 +563,7 @@ class TestRunLearn:
         assert run(cfg) == EXIT_OK
         _, header, rows = _read_artifact(tmp_path / "learn_curves.csv")
         assert header == ["trial", "step", "sign", "selection_error"]
-        _, _, learn_rows = _read_artifact(tmp_path / "learn.csv")
+        _, learn_header, learn_rows = _read_artifact(tmp_path / "learn.csv")
         candidates = int(learn_rows[0][13])
         assert len(rows) == 2 * candidates
         for row in rows:
@@ -570,6 +571,12 @@ class TestRunLearn:
             assert int(row[1]) % 400 == 0
             assert int(row[2]) in (1, -1)
             assert 0.0 <= float(row[3]) <= 1.0
+        # each trial's chosen candidate is its first curve row of least selection error
+        step_col, sign_col = learn_header.index("chosen_step"), learn_header.index("chosen_sign")
+        for learn_row in learn_rows:
+            trial_rows = [row for row in rows if row[0] == learn_row[0]]
+            best = min(trial_rows, key=lambda row: float(row[3]))  # min keeps the first of equals
+            assert [learn_row[step_col], learn_row[sign_col]] == best[1:3]
 
     def test_trial_abort_is_recorded_not_raised(self, tmp_path):
         # A step size of 1e308 overflows the first PSGD step of each trial;
@@ -883,6 +890,7 @@ MALFORMED = [
     (LEARN_FLAT, {"learn.budget": 100}),
     (LEARN_FLAT, {"learn.steps": 1e3}),
     (LEARN_FLAT, {"learn.record_every": -3}),
+    (LEARN_FLAT, {"learn.record_every": 2**63}),
     (LEARN_FLAT, {"learn.step_size": -1}),
     (LEARN_FLAT, {"learn.sigma": 0}),
     (LEARN_FLAT, {"learn.sigma": 20}),

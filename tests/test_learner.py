@@ -26,7 +26,7 @@ from massart_halfspace import (
     sign_of,
 )
 from massart_halfspace import learner
-from massart_halfspace.learner import _BLOCK_PRODUCTS, _SELECT_CHUNK, _STREAM_CHUNK, _select
+from massart_halfspace.learner import _BLOCK_PRODUCTS, _SELECT_CHUNK, _STREAM_CHUNK, _select, candidate_step_sign
 from massart_halfspace.rng import STREAM_SELECT
 from massart_halfspace.surrogate import sigmoid_derivative
 
@@ -350,7 +350,7 @@ def _small_learn_setup(kind="constant", seed=500, **strategy_kw):
     oracle = MassartOracle(
         target=target,
         strategy=strategy,
-        marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=seed),
+        marginal=MarginalSampler(kind="uniform_disk_2d", dim=2),
         seed=seed,
     )
     params = _params(
@@ -367,12 +367,13 @@ class TestLearnPipeline:
     def test_report_bookkeeping(self):
         oracle, params, target = _small_learn_setup(eta_bound=0.2)
         report = learn(oracle, params, psgd_seed=1)
-        assert report.samples_used == 3000 + 3000
+        assert report.schedule.steps + report.schedule.selection_samples == 3000 + 3000
         assert report.candidate_count == 2 * 11
         assert report.candidate_errors.shape == (22,)
-        assert report.chosen_sign in (-1, 1)
-        assert 0 <= report.chosen_step <= 3000
-        assert report.empirical_error == report.candidate_errors.min()
+        step, sign = candidate_step_sign(report.trajectory.step_indices, report.chosen_index)
+        assert sign in (-1, 1)
+        assert 0 <= step <= 3000
+        assert report.candidate_errors[report.chosen_index] == report.candidate_errors.min()
         assert np.linalg.norm(report.chosen) == pytest.approx(1.0, abs=1e-9)
         assert report.wall_time_s > 0.0
 
@@ -381,13 +382,14 @@ class TestLearnPipeline:
         report = learn(oracle, params, psgd_seed=1)
         k = report.trajectory.iterates.shape[0]
         base = report.trajectory.iterates[report.chosen_index % k]
-        assert np.array_equal(report.chosen, report.chosen_sign * base)
+        sign = candidate_step_sign(report.trajectory.step_indices, report.chosen_index)[1]
+        assert np.array_equal(report.chosen, sign * base)
 
     def test_deterministic(self):
         r1 = learn(*_small_learn_setup(eta_bound=0.2)[:2], psgd_seed=3)
         r2 = learn(*_small_learn_setup(eta_bound=0.2)[:2], psgd_seed=3)
         assert np.array_equal(r1.chosen, r2.chosen)
-        assert r1.empirical_error == r2.empirical_error
+        assert r1.chosen_index == r2.chosen_index
         assert np.array_equal(r1.candidate_errors, r2.candidate_errors)
 
     def test_psgd_seed_changes_nothing(self):
@@ -406,7 +408,7 @@ class TestLearnPipeline:
         oracle, params, target = _small_learn_setup(eta_bound=0.2)
         report = learn(oracle, params, psgd_seed=7)
         # OPT is 0.2 here; a sane run should sit well under 0.3
-        assert report.empirical_error <= 0.3
+        assert report.candidate_errors[report.chosen_index] <= 0.3
         angle = math.acos(np.clip(abs(float(report.chosen @ target)), -1, 1))
         assert angle <= 0.35
 
@@ -453,7 +455,7 @@ class TestLearnPipeline:
         oracle = MassartOracle(
             target=target,
             strategy=strategy,
-            marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=501),
+            marginal=MarginalSampler(kind="uniform_disk_2d", dim=2),
             seed=501,
         )
         params = _params(
@@ -479,7 +481,7 @@ def test_step_matches_numpy_reference_step():
         return MassartOracle(
             target=target,
             strategy=strategy,
-            marginal=MarginalSampler(kind="standard_gaussian", dim=10, seed=77),
+            marginal=MarginalSampler(kind="standard_gaussian", dim=10),
             seed=77,
         )
 

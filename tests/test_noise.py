@@ -22,7 +22,7 @@ def _disk_oracle(strategy, seed=100):
     return MassartOracle(
         target=np.array([1.0, 0.0]),
         strategy=strategy,
-        marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=seed),
+        marginal=MarginalSampler(kind="uniform_disk_2d", dim=2),
         seed=seed,
     )
 
@@ -250,7 +250,7 @@ class TestSharedMargins:
         oracle = MassartOracle(
             target=np.array([0.6, 0.0, -0.8]),
             strategy=s,
-            marginal=MarginalSampler(kind="standard_gaussian", dim=3, seed=21),
+            marginal=MarginalSampler(kind="standard_gaussian", dim=3),
             seed=21,
         )
         got = [oracle.draw(3000), oracle.draw(1000)]
@@ -340,7 +340,7 @@ class TestOracleDraws:
 
     def test_target_must_be_unit_and_match_dim(self):
         s = NoiseStrategy(kind="none")
-        marg = MarginalSampler(kind="uniform_disk_2d", dim=2, seed=0)
+        marg = MarginalSampler(kind="uniform_disk_2d", dim=2)
         with pytest.raises(ValueError):
             MassartOracle(target=np.array([1.0, 1.0]), strategy=s, marginal=marg, seed=0)
         with pytest.raises(ValueError):
@@ -379,7 +379,7 @@ class TestOptError:
             oracle = MassartOracle(
                 target=np.array([1.0, 0.0, 0.0]),
                 strategy=NoiseStrategy(kind="strong_massart_max", c_strong=c),
-                marginal=MarginalSampler(kind="standard_gaussian", dim=3, seed=55),
+                marginal=MarginalSampler(kind="standard_gaussian", dim=3),
                 seed=55,
             )
             est, stderr = oracle.opt_error(200_000)

@@ -22,6 +22,7 @@ from massart_halfspace import (
     theoretical_step_size,
 )
 from massart_halfspace.psgd import _recorded_steps, _segment_kernel, recorded_count
+from massart_halfspace.rng import STREAM_PSGD, make_rng
 
 E1_3 = np.array([1.0, 0.0, 0.0])
 
@@ -350,8 +351,8 @@ class TestBatchRun:
             return -r[:, None] * (z - m[:, None] * W)
 
         starts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        cfg = PsgdConfig(steps=20, step_size=0.2, seed=11, record_every=5)
-        batch = psgd_run_batch(batch_oracle, cfg, starts)
+        cfg = PsgdConfig(steps=20, step_size=0.2, record_every=5)
+        batch = psgd_run_batch(batch_oracle, cfg, starts, make_rng(11, STREAM_PSGD))
         assert batch.iterates.shape == (5, 2, 3)
         for row in range(2):
             solo = psgd_run(_stream(zs), cfg, w0=starts[row], dloss=_bump)
@@ -364,7 +365,8 @@ class TestBatchRun:
         grads = _moving_gradients(10, 2, 3)
         calls = iter(grads)
         traj = psgd_run_batch(
-            lambda W, rng: next(calls), PsgdConfig(steps=10, step_size=0.3, record_every=4), starts
+            lambda W, rng: next(calls), PsgdConfig(steps=10, step_size=0.3, record_every=4), starts,
+            make_rng(0, STREAM_PSGD),
         )
         ref = _reference_iterates(starts, grads, 0.3)
         assert np.array_equal(traj.step_indices, [0, 4, 8, 10])
@@ -374,9 +376,9 @@ class TestBatchRun:
     def test_rejects_bad_shapes_and_norms(self):
         cfg = PsgdConfig(steps=1, step_size=0.1)
         with pytest.raises(ValueError):
-            psgd_run_batch(lambda W, rng: W, cfg, np.ones(3))
+            psgd_run_batch(lambda W, rng: W, cfg, np.ones(3), make_rng(0, STREAM_PSGD))
         with pytest.raises(ValueError):
-            psgd_run_batch(lambda W, rng: W, cfg, np.ones((2, 3)))
+            psgd_run_batch(lambda W, rng: W, cfg, np.ones((2, 3)), make_rng(0, STREAM_PSGD))
 
     def test_divergence_names_the_row(self):
         def poison(W, rng):
@@ -386,7 +388,7 @@ class TestBatchRun:
 
         starts = np.eye(3)
         with pytest.raises(PsgdDivergenceError) as info:
-            psgd_run_batch(poison, PsgdConfig(steps=2, step_size=0.1), starts)
+            psgd_run_batch(poison, PsgdConfig(steps=2, step_size=0.1), starts, make_rng(0, STREAM_PSGD))
         assert "row 1" in str(info.value)
 
 

@@ -22,6 +22,7 @@ from massart_halfspace.surrogate import (
     sigmoid_derivative,
     sigmoid_value,
 )
+from massart_halfspace.rng import make_rng
 
 
 def _finite_difference_gradient(w, x, y, spec, step=1e-6):
@@ -286,7 +287,7 @@ class TestPopulationEstimates:
     def test_target_is_near_stationary_under_clean_labels(self):
         w = np.zeros(5)
         w[0] = 1.0
-        xs = MarginalSampler(kind="standard_gaussian", dim=5, seed=44).sample(100_000)
+        xs = MarginalSampler(kind="standard_gaussian", dim=5).sample(100_000, make_rng(44))
         ys = np.sign(xs @ w)
         ys[ys == 0] = 1.0
         est = population_estimates(w, xs, ys, SurrogateSpec("sigmoid", 0.1))
@@ -325,7 +326,7 @@ class TestSmoothnessScales:
         self.sigma = 0.25
         self.spec = SurrogateSpec("sigmoid", self.sigma)
         self.d = 6
-        self.xs = MarginalSampler(kind="standard_gaussian", dim=self.d, seed=91).sample(100_000)
+        self.xs = MarginalSampler(kind="standard_gaussian", dim=self.d).sample(100_000, make_rng(91))
         rng = np.random.default_rng(92)
         self.ys = np.where(rng.random(100_000) < 0.5, 1.0, -1.0)
         w = np.zeros(self.d)

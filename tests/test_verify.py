@@ -52,7 +52,7 @@ def _disk_config(noise, surrogate, angles, seed=1, **kw):
     return StructuralCheckConfig(
         surrogate=surrogate,
         noise=noise,
-        marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=seed),
+        marginal=MarginalSampler(kind="uniform_disk_2d", dim=2),
         profile=DISK,
         angles=angles,
         seed=seed,
@@ -247,7 +247,7 @@ class TestEstimatorAgainstQuadrature:
         oracle = MassartOracle(
             target=target,
             strategy=NoiseStrategy(kind="constant", eta_bound=0.3),
-            marginal=MarginalSampler(kind="uniform_disk_2d", dim=2, seed=61),
+            marginal=MarginalSampler(kind="uniform_disk_2d", dim=2),
             seed=61,
         )
         d = oracle.draw(400_000)
@@ -290,7 +290,7 @@ class TestEstimatorProperties:
             cfg = StructuralCheckConfig(
                 surrogate=SurrogateSpec("sigmoid", sigma),
                 noise=noise,
-                marginal=MarginalSampler(kind="standard_gaussian", dim=3, seed=seed),
+                marginal=MarginalSampler(kind="standard_gaussian", dim=3),
                 profile=GAUSS,
                 angles=(math.pi / 4,),
                 seed=seed,
