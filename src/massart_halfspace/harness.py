@@ -170,7 +170,7 @@ SCHEMA = {
     "learn.delta": Key("float", 0.1),
     "learn.budget": Key("int"),
     "learn.record_every": Key("int", 0, bounds=(0, 2**63 - 1)),  # a recorded step index is an int64
-    "learn.steps": Key("int"),
+    "learn.steps": Key("int", bounds=(1, 2**63 - 1)),
     "learn.step_size": Key("float"),
     "learn.sigma": Key("float"),
     "learn.selection": Key("int"),

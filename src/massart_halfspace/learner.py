@@ -114,6 +114,10 @@ class Schedule:
     def __post_init__(self):
         SurrogateSpec(kind="sigmoid", sigma=self.sigma)  # refuses a bad width first,
         self.psgd  # then PsgdConfig a bad step count, step size or recording
+        recorded = recorded_count(self.steps, self.record_every)
+        if recorded > _BLOCK_PRODUCTS:  # a selection block holds one point per recorded iterate
+            raise ValueError(f"steps = {self.steps} with record_every = {self.record_every} record "
+                             f"{recorded} iterates, more than the {_BLOCK_PRODUCTS} a selection block can count")
 
     @property
     def psgd(self) -> PsgdConfig:
@@ -207,28 +211,34 @@ def schedule_for(params: LearnParams, noise: NoiseStrategy, dim: int) -> Schedul
 _BLOCK_PRODUCTS = 1 << 19
 
 
-def _select(candidates: np.ndarray, slabs, n: int) -> tuple[int, float, np.ndarray]:
-    """First-argmin candidate over n points arriving as (xs, ys) slabs."""
-    k = candidates.shape[0]
-    wrong = np.zeros(k)
+def _select(half: np.ndarray, slabs, n: int) -> np.ndarray:
+    """Selection errors of the candidates [half; -half] over n points arriving
+    as label-folded slabs (z = y * x, y < 0), in candidate_step_sign's layout.
+
+    Only half is multiplied. A w misses a point where <w, z> < 0, or at the
+    tie <w, x> = 0, which predicts +1 as in sign_of, where y < 0. Off the
+    ties exactly one of w and -w misses, and at a tie both predict +1, so
+    wrong(-w) = n - wrong(w) + sum over ties of (2 [y < 0] - 1).
+    """
+    k = half.shape[0]
+    wrong, shift = np.zeros(k), np.zeros(k)
     rows = max(1, _BLOCK_PRODUCTS // k)
-    for xs, ys in slabs:
-        positive = ys > 0.0
-        for lo in range(0, xs.shape[0], rows):
+    for zs, neg in slabs:
+        for lo in range(0, zs.shape[0], rows):
             # (k, rows): one contiguous row per candidate, so the count runs along rows
-            prods = candidates @ xs[lo : lo + rows].T
+            prods = half @ zs[lo : lo + rows].T
             if not np.isfinite(prods).all():
                 raise ValueError("selection products must be finite")
-            # sign(p) != y, with the tie p == 0 predicting +1 as in sign_of
-            miss = prods >= 0.0
-            miss ^= positive[lo : lo + rows]
-            wrong += np.count_nonzero(miss, axis=1)
-            del prods, miss
+            wrong += np.count_nonzero(prods < 0.0, axis=1)
+            if not prods.all():  # a tie: rare on a continuous marginal
+                tie = prods == 0.0
+                tie_neg = np.count_nonzero(tie & neg[lo : lo + rows], axis=1)
+                wrong += tie_neg
+                shift += 2 * tie_neg - np.count_nonzero(tie, axis=1)
+            del prods
         # only one slab may be alive: the next one is drawn when the loop resumes
-        del xs, ys, positive
-    errors = wrong / n
-    idx = int(np.argmin(errors))
-    return idx, float(errors[idx]), errors
+        del zs, neg
+    return np.concatenate([wrong, n - wrong + shift]) / n
 
 
 def select_hypothesis(
@@ -236,21 +246,31 @@ def select_hypothesis(
 ) -> tuple[int, float, np.ndarray]:
     """Index, error, and full error vector of the empirically best candidate.
 
-    Error is the mean zero-one disagreement between sign(<c, x>) and y.
-    The argmin takes the first minimizer, so candidate order encodes the
-    tie-breaking policy.
+    Error is the mean zero-one disagreement between sign(<c, x>) and the
+    label y = +-1. The argmin takes the first minimizer, so candidate
+    order encodes the tie-breaking policy. Counted by the learner's
+    selection routine on label-folded chunks, keeping the candidates' half
+    of its errors.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if candidates.shape[0] == 0:
-        raise ValueError("candidate list is empty")
+    if candidates.ndim != 2 or candidates.shape[0] == 0:
+        raise ValueError(f"candidates must be a non-empty (k, d) array, got shape {candidates.shape}")
+    if xs.ndim != 2 or xs.shape[1] != candidates.shape[1]:
+        raise ValueError(f"points must be an (n, {candidates.shape[1]}) array, got shape {xs.shape}")
     n = xs.shape[0]
     if n == 0:
         raise ValueError("selection sample is empty")
+    if ys.shape != (n,) or not np.all(np.abs(ys) == 1.0):
+        raise ValueError(f"labels must be {n} values of +1 or -1, one per point")
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk!r}")
-    return _select(candidates, ((xs[lo : lo + chunk], ys[lo : lo + chunk]) for lo in range(0, n, chunk)), n)
+    chunks = (slice(lo, lo + chunk) for lo in range(0, n, chunk))
+    folded = ((xs[c] * ys[c, None], ys[c] < 0.0) for c in chunks)
+    errors = _select(candidates, folded, n)[: candidates.shape[0]]
+    idx = int(np.argmin(errors))
+    return idx, float(errors[idx]), errors
 
 
 def excess_to_target_error(excess: float, eta_bound: float) -> float:
@@ -299,8 +319,9 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     are disjoint by construction. Total sample usage is exactly
     steps + selection_samples.
 
-    PSGD starts at e_1 and sees each example label-folded, z = y * x, with ||z||^2:
-    a margin loss, whose projection norm is a scalar formula (`psgd`). PSGD draws
+    PSGD starts at e_1 and sees each example label-folded, z = y * x, as one flat
+    tuple (z0, ..., z{d-1}, ||z||^2): a margin loss, whose projection norm is a
+    scalar formula (`psgd`). Selection multiplies only the recorded iterates. PSGD draws
     nothing, so psgd_seed is ignored; it stays while the benchmark's learn() wrapper passes it.
     """
     t0 = time.perf_counter()
@@ -312,30 +333,34 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
         q = math.exp(-abs(m) / sigma)
         return q / ((1.0 + q) ** 2 * sigma)
 
-    def batch(n):
+    def batch(n):  # flat (z0, ..., z{d-1}, zz) tuples, as psgd_run unpacks them
         drawn = oracle.draw(n)
-        zs = drawn.xs * drawn.ys[:, None]  # exact: y = +-1
-        return zip(zs.tolist(), np.einsum("ij,ij->i", zs, zs).tolist())
+        zs = drawn.xs
+        zs *= drawn.ys[:, None]  # label-folded in place, exact: y = +-1
+        return zip(*zs.T.tolist(), np.einsum("ij,ij->i", zs, zs).tolist())
 
     examples = chain.from_iterable(map(batch, repeat(_STREAM_CHUNK)))
     trajectory = psgd_run(examples, sched.psgd, np.eye(1, dim)[0], dloss=dloss)
 
-    # The layout of candidate_step_sign: the first-argmin selection then
-    # prefers +w over -w and earlier steps over later ones.
-    candidates = np.vstack([trajectory.iterates, -trajectory.iterates])
     sel_oracle = oracle.spawn(STREAM_SELECT)
     n = sched.selection_samples
 
     def slabs():
         for lo in range(0, n, _SELECT_CHUNK):
             sel = sel_oracle.draw(min(_SELECT_CHUNK, n - lo))
-            yield sel.xs, sel.ys
-            del sel  # dead before the next slab is drawn
+            zs = sel.xs
+            zs *= sel.ys[:, None]  # label-folded in place, exact: y = +-1
+            yield zs, sel.ys < 0.0
+            del sel, zs  # dead before the next slab is drawn
 
-    idx, _, errors = _select(candidates, slabs(), n)
+    # candidate_step_sign's layout, the recorded iterates then their negations:
+    # the first-argmin selection prefers +w over -w and earlier steps over later ones
+    errors = _select(trajectory.iterates, slabs(), n)
+    idx = int(np.argmin(errors))
+    sign = candidate_step_sign(trajectory.step_indices, idx)[1]
 
     return LearnReport(
-        chosen=candidates[idx],
+        chosen=sign * trajectory.iterates[idx % len(trajectory)],
         chosen_index=idx,
         candidate_errors=errors,
         candidate_count=sched.candidate_count,

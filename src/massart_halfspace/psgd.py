@@ -95,20 +95,22 @@ def _segment_kernel(d: int):
 
     Generated once per dimension from source built of integers only, so a
     step builds no list: its margin is one fsum of a d-tuple and its update
-    one d-way assignment, the same IEEE operations coordinate by coordinate
-    as a list loop. Unpacking z is the length check.
+    d assignments, one per coordinate, the same IEEE operations as a list
+    loop. Unpacking the flat (z0, ..., z{d-1}, zz) example is the length
+    check.
     """
     v = "".join(f"v{k}, " for k in range(d))
     z = "".join(f"z{k}, " for k in range(d))
+    update = "\n            ".join(f"v{k} = a * v{k} + b * z{k}" for k in range(d))  # each reads only its own v{k}
     source = f"""\
 def segment(steps, i, v, s, beta, dloss):
     {v}= v
     try:  # fsum rounds alike on every Python version, but may overflow on finite terms
-        for i, (({z}), zz) in steps:
+        for i, ({z}zz) in steps:
             m = fsum(({"".join(f"z{k} * v{k}, " for k in range(d))})) * s
             b = beta * dloss(m)
             a = (1.0 - b * m) * s  # w - beta * g = a * v + b * z
-            {v}= {"".join(f"a * v{k} + b * z{k}, " for k in range(d))}
+            {update}
             n2 = 1.0 + b * b * (zz - m * m)
             if not 0.0 < n2 < inf:
                 raise PsgdDivergenceError(step=i, detail="non-finite or non-positive squared norm")
@@ -126,11 +128,12 @@ def segment(steps, i, v, s, beta, dloss):
 def psgd_run(examples, config: PsgdConfig, w0, *, dloss) -> Trajectory:
     """Run projected SGD of a margin loss from the unit w0; return the recorded trajectory.
 
-    Step i takes the i-th (z, zz) of examples, z a sequence of d floats
-    (another length raises ValueError), and dloss(m) is the r of the
-    gradient -r * (z - m * w). The steps keep v in d local floats of the
-    dimension's generated kernel and carry s = 1/||v||, so w = s * v and
-    a step is v <- a * v + b * z. A non-finite or non-positive squared
+    Step i takes the i-th example of examples, a flat tuple
+    (z0, ..., z{d-1}, zz) of the d floats of z and then zz (another
+    length raises ValueError, and nothing past it is pulled), and dloss(m)
+    is the r of the gradient -r * (z - m * w). The steps keep v in d local
+    floats of the dimension's generated kernel and carry s = 1/||v||, so
+    w = s * v and a step is v <- a * v + b * z. A non-finite or non-positive squared
     norm aborts with PsgdDivergenceError at its step, as does a record
     step whose exact ||v|| is off 1/s by over 1e-9 relative: a stream
     whose zz is not ||z||^2.

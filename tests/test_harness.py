@@ -891,6 +891,8 @@ MALFORMED = [
     (LEARN_FLAT, {"learn.steps": 1e3}),
     (LEARN_FLAT, {"learn.record_every": -3}),
     (LEARN_FLAT, {"learn.record_every": 2**63}),
+    (LEARN_FLAT, {"learn.steps": 2**63}),
+    (LEARN_FLAT, {"learn.steps": 2**62, "learn.record_every": 400}),
     (LEARN_FLAT, {"learn.step_size": -1}),
     (LEARN_FLAT, {"learn.sigma": 0}),
     (LEARN_FLAT, {"learn.sigma": 20}),

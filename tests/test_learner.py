@@ -271,12 +271,42 @@ class TestSelectHypothesis:
 
         def slab():
             assert all(ref() is None for ref in refs), "the previous slab is still alive"
-            xs, ys = rng.standard_normal((300, 3)), np.where(rng.random(300) < 0.5, 1.0, -1.0)
-            refs[:] = [weakref.ref(xs), weakref.ref(ys)]
-            return xs, ys
+            zs, neg = rng.standard_normal((300, 3)), rng.random(300) < 0.5
+            refs[:] = [weakref.ref(zs), weakref.ref(neg)]
+            return zs, neg
 
         _select(candidates, (slab() for _ in range(3)), 900)
         assert len(refs) == 2
+
+    def test_pair_count_matches_explicit_count_at_planted_ties(self):
+        # integer points orthogonal to integer candidates give exact zero
+        # products, which sign_of reads as +1 for w and for -w alike
+        rng = np.random.default_rng(44)
+        W = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [2.0, -1.0, 3.0]])
+        planted = [np.cross(w, rng.integers(-4, 5, (600, 3))) for w in W]
+        xs = np.vstack([*planted, rng.integers(-4, 5, (600, 3))]).astype(np.float64)
+        xs = xs[rng.permutation(xs.shape[0])]
+        n = xs.shape[0]
+        ys = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        ties = xs @ W.T == 0.0
+        assert ties.sum(axis=0).min() >= 500
+        assert all(np.unique(ys[ties[:, j]]).tolist() == [-1.0, 1.0] for j in range(3))
+        slabs = ((xs[lo : lo + 700] * ys[lo : lo + 700, None], ys[lo : lo + 700] < 0.0) for lo in range(0, n, 700))
+        explicit = np.count_nonzero(sign_of(xs @ np.vstack([W, -W]).T) != ys[:, None], axis=0)
+        assert np.array_equal(_select(W, slabs, n), explicit / n)
+
+    def test_labels_must_be_one_per_point_and_signs(self):
+        # one label once broadcast over three points; 0.5 and 0 once read as +1 and -1
+        with pytest.raises(ValueError, match="labels must be 3 values of \\+1 or -1"):
+            select_hypothesis(np.eye(2), np.ones((3, 2)), np.array([1.0]))
+        for bad in (0.5, 0.0, 2.0, np.nan):
+            with pytest.raises(ValueError, match="labels"):
+                select_hypothesis(np.eye(2), np.ones((3, 2)), np.array([1.0, bad, -1.0]))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (3, 1), (3, 2, 1)])
+    def test_points_must_match_the_candidates_width(self, shape):
+        with pytest.raises(ValueError, match="points must be an \\(n, 2\\) array"):
+            select_hypothesis(np.eye(2), np.ones(shape), np.ones(3))
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):

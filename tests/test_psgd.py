@@ -63,7 +63,7 @@ def _list_loop(examples, config, w0, dloss):
     record = _recorded_steps(config.steps, config.record_every)
     iterates = [list(v)]
     for slot in range(1, record.shape[0]):
-        for z, zz in itertools.islice(examples, record[slot] - record[slot - 1]):
+        for *z, zz in itertools.islice(examples, record[slot] - record[slot - 1]):
             m = math.fsum(map(mul, z, v)) * s
             b = config.step_size * dloss(m)
             a = (1.0 - b * m) * s
@@ -76,9 +76,9 @@ def _list_loop(examples, config, w0, dloss):
 
 
 def _stream(zs):
-    """The examples (z, ||z||^2) of the rows of zs, as psgd_run takes them."""
+    """The examples (z0, ..., z{d-1}, ||z||^2) of the rows of zs, as psgd_run takes them."""
     zs = np.asarray(zs, dtype=np.float64)
-    return zip(zs.tolist(), np.einsum("ij,ij->i", zs, zs).tolist())
+    return zip(*zs.T.tolist(), np.einsum("ij,ij->i", zs, zs).tolist())
 
 
 def _unit_slope(m):
@@ -188,7 +188,7 @@ class TestSingleRun:
     @pytest.mark.parametrize("fill", [np.nan, np.inf, 1e155])
     def test_nonfinite_example_aborts_with_step(self, fill):
         z = [fill] * 3
-        examples = iter([(z, math.fsum(zi * zi for zi in z))] * 5)
+        examples = iter([(*z, math.fsum(zi * zi for zi in z))] * 5)
         with pytest.raises(PsgdDivergenceError) as info:
             psgd_run(examples, PsgdConfig(steps=5, step_size=0.1), w0=E1_3, dloss=_unit_slope)
         assert info.value.step == 1
@@ -197,7 +197,7 @@ class TestSingleRun:
         # every product is finite, but their sum overflows
         start = np.ones(3) / math.sqrt(3.0)
         with pytest.raises(PsgdDivergenceError) as info:
-            psgd_run(iter([([1.5e308] * 3, math.inf)]), PsgdConfig(steps=1, step_size=0.1), w0=start,
+            psgd_run(iter([(*[1.5e308] * 3, math.inf)]), PsgdConfig(steps=1, step_size=0.1), w0=start,
                      dloss=_unit_slope)
         assert info.value.step == 1
 
@@ -208,7 +208,7 @@ class TestSingleRun:
         def misshapen():
             while True:
                 pulled.append(length)
-                yield [0.1] * length, 0.01 * length
+                yield (*[0.1] * length, 0.01 * length)
 
         with pytest.raises(ValueError):
             psgd_run(misshapen(), PsgdConfig(steps=5, step_size=0.1), w0=E1_3, dloss=_unit_slope)
@@ -221,7 +221,7 @@ class TestSingleRun:
             for k in itertools.count(1):
                 pulled.append(k)
                 z = [0.1] * (4 if k == 3 else 3)
-                yield z, math.fsum(zi * zi for zi in z)
+                yield (*z, math.fsum(zi * zi for zi in z))
 
         with pytest.raises(ValueError):
             psgd_run(third_misshapen(), PsgdConfig(steps=5, step_size=0.1, record_every=5), w0=E1_3,
@@ -233,7 +233,7 @@ class TestSingleRun:
         # sum is not. zz is misstated as 1, so the carried norm stays finite
         # and only the record step's exact norm overflows.
         huge = [0.0, 1.2e155, 1.2e155]
-        examples = iter([([0.0] * 3, 0.0), ([0.0] * 3, 0.0), (huge, 1.0)])
+        examples = iter([(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (*huge, 1.0)])
         with pytest.raises(PsgdDivergenceError) as info:
             psgd_run(examples, PsgdConfig(steps=3, step_size=0.1, record_every=3), w0=E1_3,
                      dloss=_unit_slope)
@@ -242,13 +242,13 @@ class TestSingleRun:
     def test_non_positive_squared_norm_aborts(self):
         # z = 10 w with zz misstated as 0: 1 + b^2 (zz - m^2) = 1 - 0.01 * 100 = 0
         with pytest.raises(PsgdDivergenceError) as info:
-            psgd_run(iter([([10.0, 0.0, 0.0], 0.0)]), PsgdConfig(steps=1, step_size=0.1), w0=E1_3,
+            psgd_run(iter([(10.0, 0.0, 0.0, 0.0)]), PsgdConfig(steps=1, step_size=0.1), w0=E1_3,
                      dloss=_unit_slope)
         assert info.value.step == 1
 
     def test_misstated_norm_aborts_at_first_record_step(self):
         zs = np.random.default_rng(4).standard_normal((200, 3))
-        examples = ((z, 1.01 * zz) for z, zz in _stream(zs))
+        examples = ((*z, 1.01 * zz) for *z, zz in _stream(zs))
         with pytest.raises(PsgdDivergenceError) as info:
             psgd_run(examples, PsgdConfig(steps=200, step_size=0.1, record_every=50), w0=E1_3,
                      dloss=_unit_slope)
@@ -261,7 +261,7 @@ class TestSingleRun:
         # check in the third segment.
         zs = np.random.default_rng(8).standard_normal((40, 3))
         zs /= np.linalg.norm(zs, axis=1, keepdims=True)
-        examples = ((z, (1.0 + 8e-9) * zz) for z, zz in _stream(zs))
+        examples = ((*z, (1.0 + 8e-9) * zz) for *z, zz in _stream(zs))
         traj = psgd_run(examples, PsgdConfig(steps=40, step_size=0.1, record_every=10), w0=E1_3,
                         dloss=_unit_slope)
         assert len(traj) == 5
