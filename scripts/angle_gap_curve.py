@@ -1,27 +1,23 @@
 #!/usr/bin/env python3
 """Trace the gradient-norm-vs-angle curve for one surrogate and noise setup.
 
-Writes a CSV with one row per angle (estimate, stderr, floor, per-region
-masses), the raw material for a loss-landscape plot: the estimate should
-stay above the floor everywhere inside the (theta, pi - theta) window.
+Runs the `verify` command at evenly spaced angles in (0, pi), so the
+output directory holds its verify.csv (one row per angle: estimate,
+stderr, floor, per-region masses) and summary.json. That is the raw
+material for a loss-landscape plot: the estimate should stay above the
+floor everywhere inside the (theta, pi - theta) window. Prints sigma, the
+floor and the worst estimate - floor margin. Exits as the CLI does: 0
+when every row passes, 1 on a config error, 2 otherwise.
 """
 import argparse
 import csv
 import math
 import sys
+from pathlib import Path
 
-import numpy as np
-
-from massart_halfspace import (
-    MarginalSampler,
-    NoiseStrategy,
-    StructuralCheckConfig,
-    SurrogateSpec,
-    make_rng,
-    verify_lemma,
-    verify_stationary_gap,
-)
 from massart_halfspace.distributions import PROFILE_BUILDERS
+from massart_halfspace.errors import ConfigError
+from massart_halfspace.harness import EXIT_CONFIG, config_from_mapping, run
 
 
 def main(argv=None) -> int:
@@ -40,40 +36,40 @@ def main(argv=None) -> int:
     parser.add_argument("--points", type=int, default=15, help="angles per curve")
     parser.add_argument("--mc-samples", type=int, default=1 << 18)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="angle_gap_curve.csv")
+    parser.add_argument("--out", default="runs/angle_gap_curve", help="output directory")
     args = parser.parse_args(argv)
 
-    profile = PROFILE_BUILDERS[args.profile]()
     angles = [math.pi * (i + 1) / (args.points + 1) for i in range(args.points)]
-    noise = NoiseStrategy(kind=args.noise, eta_bound=args.eta, c_strong=args.c, band=args.band)
-    sigma = verify_lemma(args.surrogate, noise, profile, angles)[2]
+    flat = {
+        "command": "verify",
+        "base_seed": args.seed,
+        "marginal.kind": args.marginal,
+        "marginal.dim": args.dim,
+        "profile": args.profile,
+        "noise.kind": args.noise,
+        "noise.eta_bound": args.eta,
+        "noise.c_strong": args.c,
+        "noise.band": args.band,
+        "verify.surrogate": args.surrogate,
+        "verify.angles": ",".join(map(repr, angles)),
+        "verify.mc_samples": args.mc_samples,
+        "out": args.out,
+    }
+    try:
+        code = run(config_from_mapping(flat))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    config = StructuralCheckConfig(
-        surrogate=SurrogateSpec(kind=args.surrogate, sigma=sigma),
-        noise=noise,
-        marginal=MarginalSampler(kind=args.marginal, dim=args.dim),
-        profile=profile,
-        angles=tuple(angles),
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-    )
-    rng = make_rng(args.seed, 99)
-    target = rng.standard_normal(args.dim)
-    target /= np.linalg.norm(target)
-    report = verify_stationary_gap(config, target)
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "estimate", "stderr", "floor",
-                         "good_mass", "bad_mass", "verdict"])
-        for res in report.results:
-            writer.writerow([res.theta, res.estimate, res.stderr, res.floor,
-                             res.good_mass, res.bad_mass, res.verdict])
-    worst = min(res.estimate - res.floor for res in report.results)
-    print(f"{len(report.results)} angles, sigma = {sigma:.3g}, floor = {report.floor:.3g}")
+    path = Path(args.out, "verify.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    margins = [float(row["estimate"]) - float(row["floor"]) for row in rows]
+    worst = math.nan if any(map(math.isnan, margins)) else min(margins)  # nan: an abort row
+    print(f"{len(rows)} rows, sigma = {float(rows[0]['sigma']):.3g}, floor = {float(rows[0]['floor']):.3g}")
     print(f"worst estimate-floor margin: {worst:.3g}")
-    print(f"wrote {args.out}")
-    return 0 if report.all_pass() else 2
+    print(f"wrote {path}")
+    return code
 
 
 if __name__ == "__main__":

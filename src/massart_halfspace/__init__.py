@@ -14,12 +14,7 @@ from .distributions import (
     logconcave_profile,
     plane_density,
 )
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    PsgdDivergenceError,
-    UnderpoweredCheckError,
-)
+from .errors import ConfigError, PsgdDivergenceError, UnderpoweredCheckError
 from .geometry import (
     BoundedProfile,
     angle_between,
@@ -77,7 +72,6 @@ __all__ = [
     "__version__",
     "BOUNDED_NOISE_KINDS",
     "BoundedProfile",
-    "BudgetExceededError",
     "ConfigError",
     "Draw",
     "ExperimentConfig",

@@ -181,11 +181,7 @@ class CellStat:
 @dataclass(frozen=True)
 class DensityCheckReport:
     passed: bool
-    samples: int
-    grid: int
-    slack: float
     cells: tuple[CellStat, ...]
-    tail_eps: tuple[float, ...]
     tail_fractions: tuple[float, ...]
     tail_limits: tuple[float, ...]
     tail_passed: bool
@@ -196,6 +192,7 @@ class DensityCheckReport:
 
 # Minimum expected count per histogram cell for the check to be powered.
 MIN_EXPECTED_CELL_COUNT = 50.0
+DENSITY_GRID = 6  # cells per side of the histogram
 DENSITY_SLACK = 0.5
 TAIL_EPS_DEFAULT = (0.1, 0.01)
 
@@ -206,22 +203,18 @@ def empirical_density_check(
     profile: BoundedProfile,
     n: int,
     rng: np.random.Generator,
-    grid: int = 6,
-    slack: float = DENSITY_SLACK,
-    tail_eps: tuple[float, ...] = TAIL_EPS_DEFAULT,
 ) -> DensityCheckReport:
     """Histogram a 2-d projection of n points drawn from rng against a profile.
 
-    Cells fully inside the lower-bound disk must show empirical density
-    within [1/(U*(1+slack)), U*(1+slack)] for U the density bound, and the
-    projected tail mass beyond tail_radius(eps) must not exceed
-    eps + 3*sqrt(eps/n). A cell whose observed count and whose
-    profile-implied minimum expected count are both below
-    MIN_EXPECTED_CELL_COUNT cannot be decided either way and raises
+    The histogram has DENSITY_GRID cells per side. Cells fully inside the
+    lower-bound disk must show empirical density within [1/(U*(1+slack)),
+    U*(1+slack)] for U the density bound and slack DENSITY_SLACK, and for
+    each eps in TAIL_EPS_DEFAULT the projected tail mass beyond
+    tail_radius(eps) must not exceed eps + 3*sqrt(eps/n). A cell whose
+    observed count and whose profile-implied minimum expected count are both
+    below MIN_EXPECTED_CELL_COUNT cannot be decided either way and raises
     UnderpoweredCheckError rather than failing.
     """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 cells per side")
     if n < 1:
         raise ValueError("need at least one sample")
     b1, b2 = check_orthonormal_basis(basis)
@@ -230,18 +223,18 @@ def empirical_density_check(
 
     radius = profile.inner_radius
     bound = profile.density_bound
-    lo_density = 1.0 / (bound * (1.0 + slack))
-    hi_density = bound * (1.0 + slack)
+    lo_density = 1.0 / (bound * (1.0 + DENSITY_SLACK))
+    hi_density = bound * (1.0 + DENSITY_SLACK)
 
-    edges = np.linspace(-radius, radius, grid + 1)
+    edges = np.linspace(-radius, radius, DENSITY_GRID + 1)
     counts, _, _ = np.histogram2d(proj[:, 0], proj[:, 1], bins=(edges, edges))
-    cell_area = (2.0 * radius / grid) ** 2
+    cell_area = (2.0 * radius / DENSITY_GRID) ** 2
     min_expected_if_valid = n * cell_area * lo_density
 
     cells: list[CellStat] = []
     underpowered: list[tuple[float, float]] = []
-    for i in range(grid):
-        for j in range(grid):
+    for i in range(DENSITY_GRID):
+        for j in range(DENSITY_GRID):
             x_lo, x_hi = edges[i], edges[i + 1]
             y_lo, y_hi = edges[j], edges[j + 1]
             corner = math.hypot(max(abs(x_lo), abs(x_hi)), max(abs(y_lo), abs(y_hi)))
@@ -269,13 +262,13 @@ def empirical_density_check(
         raise UnderpoweredCheckError(
             f"{len(underpowered)} histogram cell(s) expect fewer than "
             f"{MIN_EXPECTED_CELL_COUNT:.0f} samples at n = {n}; "
-            "increase n (or coarsen the grid) to make the density check decidable"
+            "increase n to make the density check decidable"
         )
 
     proj_norms = np.linalg.norm(proj, axis=1)
     fractions, limits = [], []
     tail_ok = True
-    for eps in tail_eps:
+    for eps in TAIL_EPS_DEFAULT:
         t = float(profile.tail_radius(eps))
         frac = float(np.mean(proj_norms >= t))
         limit = eps + 3.0 * math.sqrt(eps / n)
@@ -286,11 +279,7 @@ def empirical_density_check(
     cells_ok = all(c.verdict == "pass" for c in cells)
     return DensityCheckReport(
         passed=cells_ok and tail_ok,
-        samples=n,
-        grid=grid,
-        slack=slack,
         cells=tuple(cells),
-        tail_eps=tuple(float(e) for e in tail_eps),
         tail_fractions=tuple(fractions),
         tail_limits=tuple(limits),
         tail_passed=tail_ok,

@@ -10,10 +10,6 @@ class UnderpoweredCheckError(RuntimeError):
     """
 
 
-class BudgetExceededError(RuntimeError):
-    """A schedule asks for more iterations than the configured budget allows."""
-
-
 class PsgdDivergenceError(RuntimeError):
     """Projected SGD hit a non-finite or zero-norm update."""
 

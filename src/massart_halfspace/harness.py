@@ -34,13 +34,13 @@ import numpy as np
 
 from . import __version__
 from .distributions import PROFILE_BUILDERS, SAMPLER_KINDS, MarginalSampler, plane_density
-from .errors import BudgetExceededError, ConfigError, PsgdDivergenceError, UnderpoweredCheckError
+from .errors import ConfigError, PsgdDivergenceError, UnderpoweredCheckError
 from .geometry import BoundedProfile, angle_between, require_unit, sign_of
 from .learner import MODES, LearnParams, candidate_step_sign, learn, schedule_for, select_hypothesis
 from .noise import MODEL_MASSART, MODEL_STRONG, NOISE_KINDS, MassartOracle, NoiseStrategy
 from .rng import derive_seed, make_rng
 from .surrogate import SURROGATE_KINDS, SurrogateSpec, per_sample_gradient, per_sample_loss, sample_gradients
-from .verify import StructuralCheckConfig, verify_lemma, verify_stationary_gap
+from .verify import MC_SAMPLE_CAP, StructuralCheckConfig, verify_lemma, verify_stationary_gap
 
 SCHEMA_VERSION = 1
 COMMANDS = ("learn", "verify", "gradcheck", "bench")
@@ -149,15 +149,17 @@ _TYPES = {
     "names": lambda v: tuple(p.strip() for p in v.split(",")) if isinstance(v, str) else None,
 }
 
+_INT64_MAX = 2**63 - 1  # a count or step index the CSVs and summary.json hold is an int64
+
 # Every config key. README's "Keys" section states the same table.
 SCHEMA = {
     "command": Key("str", None, COMMANDS),
-    "trials": Key("int", 1, bounds=(1, math.inf)),
+    "trials": Key("int", 1, bounds=(1, _INT64_MAX)),
     "base_seed": Key("int", 0),
     "out": Key("str", "runs", neutral=True),
     "plots": Key("bool", False),
     "marginal.kind": Key("str", "standard_gaussian", SAMPLER_KINDS),
-    "marginal.dim": Key("int", 10),
+    "marginal.dim": Key("int", 10, bounds=(1, 1000)),  # d floats per PSGD step, n * d per draw
     "profile": Key("str", "auto", ("auto", *PROFILE_BUILDERS)),
     "noise.kind": Key("str", "none", NOISE_KINDS),
     "noise.eta_bound": Key("float", 0.0),
@@ -169,12 +171,12 @@ SCHEMA = {
     "learn.eps": Key("float", 0.1),
     "learn.delta": Key("float", 0.1),
     "learn.budget": Key("int"),
-    "learn.record_every": Key("int", 0, bounds=(0, 2**63 - 1)),  # a recorded step index is an int64
-    "learn.steps": Key("int", bounds=(1, 2**63 - 1)),
+    "learn.record_every": Key("int", 0, bounds=(0, _INT64_MAX)),
+    "learn.steps": Key("int", bounds=(1, _INT64_MAX)),
     "learn.step_size": Key("float"),
     "learn.sigma": Key("float"),
-    "learn.selection": Key("int"),
-    "eval.samples": Key("int", 100_000, bounds=(1000, math.inf)),
+    "learn.selection": Key("int", bounds=(1, _INT64_MAX)),
+    "eval.samples": Key("int", 100_000, bounds=(1000, MC_SAMPLE_CAP)),  # one array, at most what a verify angle draws
     "eval.min_pass": Key("int", bounds=(1, math.inf)),  # default ceil(0.9 * trials), at most trials
     "verify.surrogate": Key("str", "sigmoid", SURROGATE_KINDS),
     "verify.sigma": Key("float", "cap", ("cap",)),
@@ -182,10 +184,10 @@ SCHEMA = {
     "verify.strategies": Key("names"),  # default (noise.kind,)
     "verify.mc_samples": Key("int", 1 << 15),
     "verify.confidence_sigmas": Key("float", 3.0),
-    "gradcheck.cases": Key("int", 200, bounds=(1, math.inf)),
+    "gradcheck.cases": Key("int", 200, bounds=(1, _INT64_MAX)),
     "gradcheck.step": Key("float", 1e-6, bounds=(0.0, 1.0)),
     "gradcheck.tol": Key("float", 1e-5, bounds=(0.0, math.inf)),
-    "bench.samples": Key("int", 200_000, bounds=(1, math.inf)),
+    "bench.samples": Key("int", 200_000, bounds=(1, MC_SAMPLE_CAP)),
 }
 
 # Keys that cannot affect emitted results, such as the output directory;
@@ -218,7 +220,7 @@ def _section(name: str):
     """Report a refusal of an input, by a domain object or by the OS, as a config error about name."""
     try:
         yield
-    except (ValueError, ArithmeticError, BudgetExceededError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 

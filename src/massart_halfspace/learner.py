@@ -51,7 +51,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .geometry import BoundedProfile
 from .noise import MODEL_STRONG, MassartOracle, NoiseStrategy
 from .psgd import PsgdConfig, Trajectory, psgd_run, recorded_count
@@ -189,7 +188,7 @@ def schedule_for(params: LearnParams, noise: NoiseStrategy, dim: int) -> Schedul
         if params.steps_override is not None:
             steps = params.steps_override
         if params.budget is not None and steps > params.budget:
-            raise BudgetExceededError(
+            raise ValueError(
                 f"scheduled iteration count {steps} exceeds the configured budget {params.budget}")
         record_every = params.record_every or max(1, math.ceil(steps / DEFAULT_CANDIDATE_RECORDINGS))
         return Schedule(

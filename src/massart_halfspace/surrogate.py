@@ -20,6 +20,7 @@ projected SGD's pre-projection norm from shrinking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ import numpy as np
 SURROGATE_KINDS = ("ramp", "sigmoid")
 # Guard rail: widths beyond this are almost certainly a units mistake.
 SIGMA_MAX = 10.0
+# Points per accumulation chunk of population_estimates.
+ESTIMATE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,9 @@ class SurrogateSpec:
     def __post_init__(self):
         if self.kind not in SURROGATE_KINDS:
             raise ValueError(f"unknown surrogate kind {self.kind!r}, expected one of {SURROGATE_KINDS}")
-        if not (math.isfinite(self.sigma) and 0.0 < self.sigma <= SIGMA_MAX):
-            raise ValueError(f"sigma must lie in (0, {SIGMA_MAX}], got {self.sigma!r}")
+        # a normal float: then 1/sigma, and the estimator's 1/(3 sigma), stay finite
+        if not (math.isfinite(self.sigma) and sys.float_info.min <= self.sigma <= SIGMA_MAX):
+            raise ValueError(f"sigma must lie in [{sys.float_info.min}, {SIGMA_MAX}], got {self.sigma!r}")
 
 
 def ramp_value(t, sigma: float):
@@ -138,15 +142,15 @@ class PopulationEstimate:
     samples: int
 
 
-def population_estimates(w, xs, ys, spec: SurrogateSpec, chunk: int = 1 << 16) -> PopulationEstimate:
+def population_estimates(w, xs, ys, spec: SurrogateSpec) -> PopulationEstimate:
     """Empirical loss and gradient of the surrogate over a labeled batch.
 
-    Accumulates fixed-size chunks in index order, so the result is
-    deterministic for a given input ordering no matter how the caller
-    obtained the data. The reported stderr is for the gradient norm and
-    is conservative: it aggregates every coordinate's variance,
-    sqrt(sum_i var_i / n), which upper-bounds the fluctuation of the
-    norm itself.
+    Accumulates chunks of ESTIMATE_CHUNK points in index order, so the
+    result is deterministic for a given input ordering no matter how the
+    caller obtained the data. The reported stderr is for the gradient norm
+    and is conservative: it aggregates every coordinate's variance,
+    sqrt(sum_i var_i / n), which upper-bounds the fluctuation of the norm
+    itself.
     """
     w = np.asarray(w, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -154,14 +158,12 @@ def population_estimates(w, xs, ys, spec: SurrogateSpec, chunk: int = 1 << 16) -
     n, d = xs.shape
     if n < 2:
         raise ValueError("population_estimates needs at least 2 samples")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk!r}")
     loss_sum = 0.0
     grad_sum = np.zeros(d)
     grad_sq_sum = np.zeros(d)
     norm = _norm_checked(w)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, ESTIMATE_CHUNK):
+        hi = min(lo + ESTIMATE_CHUNK, n)
         ms = xs[lo:hi] @ w / norm
         zs = -ys[lo:hi] * ms
         loss_sum += float(np.sum(surrogate_value(spec, zs)))

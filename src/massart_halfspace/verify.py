@@ -113,7 +113,11 @@ def verify_lemma(
     c_strong, any other noise by the surrogate's own lemma with parameter
     eta_bound. The cap is the lemma cap at the tightest window edge
     min(a, pi - a) over the positive angles, None if no angle is positive.
+    Every angle must lie in [0, pi).
     """
+    for a in angles:
+        if not (0.0 <= a < math.pi):
+            raise ValueError(f"angles must each lie in [0, pi), got {a!r}")
     if noise.model == MODEL_STRONG:
         lemma, param = "strong", noise.c_strong
     else:
@@ -144,9 +148,6 @@ class StructuralCheckConfig:
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         if not self.angles:
             raise ValueError("angles must be non-empty")
-        for a in self.angles:
-            if not (0.0 <= a < math.pi):
-                raise ValueError(f"every angle must lie in [0, pi), got {a!r}")
         if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
             raise ValueError(f"mc_samples must lie in [2, {MAX_MC_SAMPLES}], got {self.mc_samples!r}")
         if self.marginal.dim < 2:

@@ -207,8 +207,6 @@ class TestEmpiricalDensityCheck:
     def test_input_validation(self):
         sampler, rng = MarginalSampler(kind="uniform_disk_2d", dim=2), make_rng(25)
         with pytest.raises(ValueError):
-            empirical_density_check(sampler, self._basis(2), disk_profile(), n=1000, rng=rng, grid=1)
-        with pytest.raises(ValueError):
             empirical_density_check(sampler, self._basis(2), disk_profile(), n=0, rng=rng)
 
 

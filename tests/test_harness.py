@@ -15,11 +15,13 @@ import json
 import math
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import massart_halfspace
-from massart_halfspace import __version__, harness
+from massart_halfspace import __version__, harness, verify
 from massart_halfspace.cli import main as cli_main
 from massart_halfspace.distributions import MarginalSampler
 from massart_halfspace.errors import ConfigError, UnderpoweredCheckError
@@ -38,6 +40,7 @@ from massart_halfspace.harness import (
     EXIT_TRIAL_FAILURES,
     SCHEMA,
     SCHEMA_VERSION,
+    Key,
     config_from_mapping,
     config_hash,
     load_config,
@@ -46,8 +49,9 @@ from massart_halfspace.harness import (
     read_config,
     run,
 )
+from massart_halfspace.noise import NOISE_KINDS
 from massart_halfspace.rng import make_rng
-from massart_halfspace.verify import lemma_sigma_cap
+from massart_halfspace.verify import MAX_MC_SAMPLES, lemma_sigma_cap
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
@@ -871,8 +875,12 @@ BENCH_FLAT = {"command": "bench", "bench.samples": 5000, "marginal.dim": 4}
 # first five and the three that the schedule's own surrogate and PSGD checks
 # refuse (learn.sigma = 20, learn.step_size = 0 or inf) once ended in a raw
 # traceback, in abort rows with exit 2, or in a run that exited 0 without
-# checking its input; the last six, schedules too large to represent, once
-# gave a config error that named no key.
+# checking its input; the six after them, schedules too large to represent,
+# once gave a config error that named no key. Of the last ten, the sizes
+# past their bounds once escaped mid-run as a ValueError or MemoryError
+# traceback, the subnormal smoothing widths ran into abort rows or a learner
+# whose sigmoid derivative underflowed to 0, and an angle past pi under
+# `verify.sigma = cap` gave a config error about theta, naming no key.
 MALFORMED = [
     (LEARN_FLAT, {"eval.min_pass": 0}),
     (LEARN_FLAT, {"eval.min_pass": 5}),
@@ -915,6 +923,16 @@ MALFORMED = [
     (LEARN_FLAT, {"learn.mode": "theoretical", "learn.eps": 1e-160}),
     (SELECTING_FLAT, {"learn.delta": 1e-320}),
     (SELECTING_FLAT, {"learn.mode": "theoretical", "learn.delta": 1e-320}),
+    (LEARN_FLAT, {"eval.samples": 2**63}),
+    (LEARN_FLAT, {"eval.samples": 10**10}),
+    (BENCH_FLAT, {"bench.samples": 2**63}),
+    (BENCH_FLAT, {"bench.samples": 10**10}),
+    (LEARN_FLAT, {"marginal.kind": "standard_gaussian", "marginal.dim": 2**63}),
+    (LEARN_FLAT, {"marginal.kind": "standard_gaussian", "marginal.dim": 10**10}),
+    (VERIFY_FLAT, {"verify.angles": 1e-320, "verify.sigma": "cap"}),  # the cap at 1e-320 is 1.2e-322
+    (VERIFY_FLAT, {"verify.sigma": 1e-320}),
+    (LEARN_FLAT, {"learn.sigma": 1e-320}),
+    (VERIFY_FLAT, {"verify.angles": 4.0}),
 ]
 MALFORMED_IDS = [
     "min_pass_below_one", "min_pass_above_trials", "unknown_mode", "negative_seed", "strong_slope_above_one",
@@ -1098,6 +1116,125 @@ class TestMalformedFixtures:
             assert code == EXIT_CONFIG
             assert err.getvalue().startswith("config error:")
             assert not out.exists()
+
+
+# Work sizes: each drawn config sets every one of them, either small (at most
+# the value here) or past its upper bound, where it must be refused.
+WORK_SIZES = {
+    "trials": 2, "learn.steps": 500, "learn.selection": 500, "eval.samples": 1500,
+    "verify.mc_samples": 1024, "gradcheck.cases": 20, "bench.samples": 2000, "marginal.dim": 4,
+}
+# Each work size's (lowest, highest) accepted value; the verify check bounds mc_samples.
+WORK_BOUNDS = {key: SCHEMA[key].bounds for key in WORK_SIZES if key != "verify.mc_samples"}
+WORK_BOUNDS["verify.mc_samples"] = (2, MAX_MC_SAMPLES)
+EDGE_VALUES = st.one_of(st.sampled_from([0, -1, 2**63, 2**64, 5e-324, 1e-320, 1e308]), st.floats())
+# For each type, values of a neighbouring type that its reader refuses.
+WRONG_TYPE = {
+    "bool": [1, "true"], "int": [1.5, True, "7"], "float": ["0.5", True], "str": [1, 0.5],
+    "floats": [True, "0.5,wide"], "names": [3, 0.5],
+}
+
+
+def _in_domain(spec: Key):
+    """Values from a key's choices and bounds."""
+    options = [st.sampled_from(spec.choices)] if spec.choices else []
+    lo, hi = spec.bounds or (None, None)
+    if spec.type == "int":
+        options.append(st.integers(0, 3) if lo is None else st.integers(lo, min(hi, 2**64)))
+    elif spec.type == "float":
+        if lo is None:
+            # mostly a magnitude from 1 down past the subnormals, where a schedule stops being representable
+            magnitudes = st.sampled_from([10.0**-e for e in range(0, 331, 10)])
+            options += [st.floats(0.0, 1.0), magnitudes, magnitudes]
+        else:
+            options.append(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    elif spec.type == "floats":  # verify.angles: one or two, since each angle is a Monte-Carlo check
+        options.append(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=2).map(lambda xs: ",".join(map(repr, xs))))
+    elif spec.type == "names":
+        options.append(st.lists(st.sampled_from(NOISE_KINDS), min_size=1, max_size=2).map(",".join))
+    elif spec.type == "bool":
+        options.append(st.booleans())
+    return st.one_of(options)
+
+
+def _work_size(key: str, past: bool):
+    lo, hi = WORK_BOUNDS[key]
+    return st.sampled_from([hi + 1, 2**63, 2**64]) if past else st.integers(lo, WORK_SIZES[key])
+
+
+# The keys besides the work sizes that each command reads; a key of another
+# command's section is only type-checked, as TestMalformedFixtures covers.
+COMMAND_SECTIONS = {"learn": ("learn", "eval"), "verify": ("verify",), "gradcheck": ("gradcheck",), "bench": ("bench",)}
+READ_KEYS = {
+    command: sorted(
+        key for key in set(SCHEMA) - set(WORK_SIZES) - {"command", "out"}
+        if key.split(".")[0] in sections or key.split(".")[0] not in {"eval", *COMMANDS}
+    )
+    for command, sections in COMMAND_SECTIONS.items()
+}
+KEY_NAMES = [key.rsplit(".", 1)[-1] for key in SCHEMA]
+# The schedule's inputs, where a size can stop being representable
+SCHEDULE_KEYS = {"learn.eps", "learn.delta", "learn.mode", "noise.eta_bound", "noise.c_strong"}
+
+
+def _summary_agrees(command: str, out: Path, code: int) -> None:
+    """summary.json and the exit code are what the CSV rows say."""
+    summary = json.loads((out / "summary.json").read_text())
+    _, header, rows = _read_artifact(out / f"{command}.csv")
+    if command == "bench":
+        assert summary["components"] == [row[0] for row in rows] and code == EXIT_OK
+        return
+    verdicts = [row[header.index("verdict")] for row in rows]
+    passes, fails = verdicts.count("pass"), verdicts.count("fail")
+    assert passes + fails + sum(v.startswith("abort:") for v in verdicts) == len(rows)
+    if command == "learn":
+        assert (summary["trials"], summary["passes"], summary["failures"]) == (len(rows), passes, len(rows) - passes)
+        assert summary["aborts"] == len(rows) - summary["completed"] == len(rows) - passes - fails
+        assert code == (EXIT_OK if passes >= summary["min_pass"] else EXIT_TRIAL_FAILURES)
+    elif command == "verify":
+        assert (summary["rows"], summary["passes"], summary["failures"]) == (len(rows), passes, fails)
+        assert summary["aborts"] == len(rows) - passes - fails
+        assert code == (EXIT_OK if passes == len(rows) else EXIT_TRIAL_FAILURES)
+    else:
+        assert (summary["cases"], summary["failures"]) == (len(rows), fails)
+        assert code == (EXIT_OK if fails == 0 else EXIT_TRIAL_FAILURES)
+
+
+class TestSchemaProperty:
+    @given(data=st.data())
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_drawn_config_runs_or_is_a_config_error(self, data):
+        # A config drawn from SCHEMA either is refused by config_from_mapping
+        # with a ConfigError that names a key, before anything is written, or
+        # runs to exit 0 or 2 with a summary.json that agrees with its CSV.
+        command = data.draw(st.sampled_from(["learn", "learn", *COMMANDS]))  # learn reads the most keys
+        # a schedule input is set one time in two, any other key one time in ten
+        keys = [key for key in READ_KEYS[command]
+                if data.draw(st.sampled_from([True, False] if key in SCHEDULE_KEYS else [True, *[False] * 9]))]
+        # Half the time one key is odd: a work size past its bound, or a set key
+        # at an edge value or of a wrong type. Every other value is in its domain.
+        odd = data.draw(st.sampled_from([None] * (len(WORK_SIZES) + len(keys)) + [*WORK_SIZES, *keys]))
+        flat = {"command": command, **{key: data.draw(_work_size(key, key == odd)) for key in WORK_SIZES}}
+        for key in keys:
+            spec = SCHEMA[key]
+            flat[key] = data.draw(st.one_of(EDGE_VALUES, st.sampled_from(WRONG_TYPE[spec.type])) if key == odd
+                                  else _in_domain(spec))
+        # mc_samples is checked only by the verify check it sizes
+        must_refuse = odd in WORK_SIZES and (odd != "verify.mc_samples" or command == "verify")
+        # An angle may need 1e7 points (6 s on the ball in d = 4); at most 2**20
+        # here, so a check that needs more is an abort row, which the property allows.
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(verify, "MC_SAMPLE_CAP", 1 << 20):
+            flat["out"] = str(Path(tmp) / "out")
+            try:
+                config = config_from_mapping(flat)
+            except ConfigError as exc:
+                assert any(re.search(rf"\b{name}\b", str(exc)) for name in KEY_NAMES), exc
+                assert not Path(flat["out"]).exists()
+                return
+            assert not must_refuse, f"{odd} = {flat[odd]} was accepted"
+            code = run(config)
+            assert code in (EXIT_OK, EXIT_TRIAL_FAILURES)
+            _summary_agrees(command, Path(flat["out"]), code)
 
 
 def _readme_key_rows() -> dict:

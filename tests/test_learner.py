@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from massart_halfspace import (
-    BudgetExceededError,
     LearnParams,
     MarginalSampler,
     MassartOracle,
@@ -155,7 +154,7 @@ class TestPracticalSchedules:
             schedule_for(_params(), _massart(), 0)
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(ValueError, match="budget"):
             schedule_for(_params(budget=500_000), _massart(), 2)
         sched = schedule_for(_params(budget=500_000, steps_override=1000), _massart(), 2)
         assert sched.steps == 1000
@@ -186,7 +185,7 @@ class TestPracticalSchedules:
     def test_refusals_keep_their_order(self):
         # the budget, then the surrogate width, then the PSGD step size
         bad = dict(sigma_override=20.0, step_size_override=0.0)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(ValueError, match="budget"):
             schedule_for(_params(budget=10, steps_override=11, **bad), _massart(), 2)
         with pytest.raises(ValueError, match="sigma must lie in"):
             schedule_for(_params(**bad), _massart(), 2)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from massart_halfspace import (
     surrogate_derivative,
     surrogate_value,
 )
+from massart_halfspace import surrogate
 from massart_halfspace.surrogate import (
     ramp_derivative,
     ramp_value,
@@ -50,7 +52,10 @@ class TestSpecValidation:
             SurrogateSpec(kind="sigmoid", sigma=10.5)
         with pytest.raises(ValueError):
             SurrogateSpec(kind="sigmoid", sigma=float("nan"))
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            SurrogateSpec(kind="sigmoid", sigma=1e-320)  # subnormal: 1/sigma overflows
         SurrogateSpec(kind="sigmoid", sigma=10.0)
+        SurrogateSpec(kind="ramp", sigma=sys.float_info.min)
 
 
 class TestRamp:
@@ -300,21 +305,15 @@ class TestPopulationEstimates:
                 np.array([1.0, 0.0]), np.ones((1, 2)), np.ones(1), SurrogateSpec("ramp", 0.5)
             )
 
-    @pytest.mark.parametrize("chunk", [0, -1])
-    def test_chunk_below_one_rejected(self, chunk):
-        with pytest.raises(ValueError, match=f"chunk must be at least 1, got {chunk}"):
-            population_estimates(
-                np.array([1.0, 0.0]), np.ones((3, 2)), np.ones(3), SurrogateSpec("ramp", 0.5), chunk=chunk
-            )
-
-    def test_chunking_is_immaterial(self):
+    def test_chunking_is_immaterial(self, monkeypatch):
         rng = np.random.default_rng(9)
         w = rng.standard_normal(3)
         xs = rng.standard_normal((5000, 3))
         ys = np.where(rng.random(5000) < 0.5, 1.0, -1.0)
         spec = SurrogateSpec("sigmoid", 0.2)
         a = population_estimates(w, xs, ys, spec)
-        b = population_estimates(w, xs, ys, spec, chunk=977)
+        monkeypatch.setattr(surrogate, "ESTIMATE_CHUNK", 977)  # six chunks, the last one short
+        b = population_estimates(w, xs, ys, spec)
         assert a.loss == pytest.approx(b.loss, rel=1e-12)
         assert np.allclose(a.gradient, b.gradient, rtol=1e-10, atol=1e-15)
 
