@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Halfspace learning and structural verification under bounded label noise.",
     )
     parser.add_argument("command", choices=COMMANDS, help="what to run")
-    parser.add_argument("--config", required=True, help="path to a key=value or JSON config file")
+    parser.add_argument("--config", required=True, help="path to a config file of key = value lines")
     parser.add_argument("--out", help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, help="base seed (overrides the config)")
     return parser

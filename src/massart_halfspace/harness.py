@@ -1,6 +1,6 @@
 """Config-driven experiment orchestration and flat-file result emission.
 
-A run is described by a small config file, either line-oriented
+A run is described by a small config file of `key = value` lines:
 
     command = learn
     trials = 10
@@ -11,7 +11,7 @@ A run is described by a small config file, either line-oriented
     noise.band = 0.2
     learn.eps = 0.05
 
-or the equivalent JSON object (nested keys become dotted keys). Results
+`#` starts a comment line, and a key may appear only once. Results
 land in the output directory as one CSV per command plus a summary.json.
 CSV files start with `#`-prefixed provenance lines (schema version,
 package version, config hash) and contain no timestamps, so two runs of
@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -76,29 +77,8 @@ def _parse_scalar(text: str):
         return text
 
 
-def _flatten(prefix: str, value, out: dict) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-        return
-    if isinstance(value, list):
-        value = ",".join(str(v) for v in value)
-    out[prefix] = value
-
-
 def parse_config_text(text: str) -> dict:
-    """Flat dotted-key mapping from either config syntax."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be an object at the top level")
-        flat: dict = {}
-        _flatten("", data, flat)
-        return flat
+    """Flat dotted-key mapping from `key = value` lines."""
     flat = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -150,6 +130,9 @@ _TYPES = {
 }
 
 _INT64_MAX = 2**63 - 1  # a count or step index the CSVs and summary.json hold is an int64
+_MAX_DRAW_FLOATS = 10**8  # one (n, d) float64 draw of points: 800 MB
+# The key that sizes each command's draws of points, each of marginal.dim floats
+_DRAW_KEYS = {"learn": "eval.samples", "bench": "bench.samples"}
 
 # Every config key. README's "Keys" section states the same table.
 SCHEMA = {
@@ -257,6 +240,10 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
         v["eval.min_pass"] = -(-9 * trials // 10)  # ceil(0.9 * trials)
     if v["eval.min_pass"] > trials:
         raise ConfigError(f"field eval.min_pass: must not exceed trials = {trials}, got {v['eval.min_pass']}")
+    draw = _DRAW_KEYS.get(v["command"])
+    if draw and v[draw] * v["marginal.dim"] > _MAX_DRAW_FLOATS:
+        raise ConfigError(f"fields {draw} and marginal.dim: one draw of {v[draw]} x {v['marginal.dim']} "
+                          f"floats exceeds {_MAX_DRAW_FLOATS:.0e}")
     if v["profile"] == "auto":
         v["profile"] = _AUTO_PROFILE.get(v["marginal.kind"])
         if v["profile"] is None:
@@ -285,7 +272,11 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
                 steps_override=v["learn.steps"], step_size_override=v["learn.step_size"],
                 sigma_override=v["learn.sigma"], selection_override=v["learn.selection"],
             )
-            schedule_for(params, noise, marginal.dim)
+            sched = schedule_for(params, noise, marginal.dim)
+        for key, count in (("learn.steps", sched.steps), ("learn.selection", sched.selection_samples)):
+            if count > _INT64_MAX:  # what the key's own bound refuses
+                raise ConfigError(f"learn section: learn.mode = {params.mode} schedules a {key} count of "
+                                  f"{count:.3e}, past 2^63 - 1; set {key} to override it")
     if v["command"] == "verify":
         for si, kind in enumerate(v["verify.strategies"]):
             with _section("field verify.strategies"):
@@ -296,6 +287,10 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
                     sigma = verify_lemma(v["verify.surrogate"], strategy, profile, v["verify.angles"])[2]
                 if sigma is None:
                     raise ConfigError("field verify.sigma: `cap` needs a positive angle in verify.angles")
+                if sigma < sys.float_info.min:  # what SurrogateSpec refuses
+                    angle = min((a for a in v["verify.angles"] if a > 0.0), key=lambda a: min(a, math.pi - a))
+                    raise ConfigError(f"field verify.angles: under verify.sigma = cap, angle {angle!r} gives "
+                                      f"sigma = {sigma!r}, below the smallest normal float")
             with _section("verify section"):
                 checks.append(StructuralCheckConfig(
                     surrogate=SurrogateSpec(kind=v["verify.surrogate"], sigma=sigma), noise=strategy,

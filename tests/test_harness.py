@@ -175,34 +175,12 @@ class TestParseConfigText:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("a = 1\na = 2\n")
 
-    def test_json_object_flattens_to_dotted_keys(self):
-        text = json.dumps(
-            {
-                "command": "learn",
-                "marginal": {"kind": "standard_gaussian", "dim": 5},
-                "learn": {"eps": 0.1},
-            }
-        )
-        flat = parse_config_text(text)
-        assert flat == {
-            "command": "learn",
-            "marginal.kind": "standard_gaussian",
-            "marginal.dim": 5,
-            "learn.eps": 0.1,
-        }
-
-    def test_json_list_becomes_comma_string(self):
-        flat = parse_config_text('{"verify": {"angles": [0.1, 0.25]}}')
-        assert flat == {"verify.angles": "0.1,0.25"}
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            parse_config_text('{"command": ')
-
-    def test_fixture_twins_parse_identically(self):
-        line_flat = parse_config_text((FIXTURES / "learn_massart_gaussian.cfg").read_text())
-        json_flat = parse_config_text((FIXTURES / "learn_massart_gaussian.json").read_text())
-        assert line_flat == json_flat
+    def test_json_text_is_refused_at_line_one(self):
+        # JSON is not a config syntax; its opening brace is a line without '='
+        with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
+            parse_config_text('{\n  "command": "learn",\n  "trials": 1\n}\n')
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config_text('{"trials": 1, "trials": 2}')
 
     def test_empty_text_gives_empty_mapping(self):
         assert parse_config_text("") == {}
@@ -239,11 +217,6 @@ class TestConfigHash:
         a = {"b": 2, "a": 1}
         b = {"a": 1, "b": 2}
         assert config_hash(a) == config_hash(b)
-
-    def test_fixture_twins_share_a_hash(self):
-        line_cfg = load_config(FIXTURES / "learn_massart_gaussian.cfg")
-        json_cfg = load_config(FIXTURES / "learn_massart_gaussian.json")
-        assert line_cfg.hash == json_cfg.hash
 
 
 # --------------------------------------------------------------------------
@@ -369,6 +342,29 @@ class TestConfigFromMapping:
         assert many.checks[0].angles == (0.5, 1.0, 1.5)
         with pytest.raises(ConfigError, match="verify.angles"):
             config_from_mapping({"command": "verify", "verify.angles": "0.5,wide"})
+
+    def test_subnormal_cap_names_the_angle(self):
+        # the cap at 1e-320 is 1.24e-322; the refusal once named only the resolved sigma
+        with pytest.raises(ConfigError, match=r"^field verify.angles: .*angle 1e-320 gives sigma = 1.24e-322, below"):
+            config_from_mapping({**VERIFY_FLAT, "verify.angles": "1.0,1e-320"})
+
+    @pytest.mark.parametrize("command, key", [("learn", "eval.samples"), ("bench", "bench.samples")])
+    def test_one_draw_holds_at_most_1e8_floats(self, command, key):
+        # each key is in range alone; 1e7 x 1000 floats once died as a 74.5 GiB MemoryError
+        flat = {"command": command, "marginal.dim": 1000}
+        assert config_from_mapping({**flat, key: 100_000}).values[key] == 100_000  # exactly 1e8
+        for n in (100_001, 10**7):
+            with pytest.raises(ConfigError, match=f"fields {key} and marginal.dim: one draw of {n} x 1000"):
+                config_from_mapping({**flat, key: n})
+        config_from_mapping({**flat, "command": "verify", key: 10**7})  # verify draws neither
+
+    def test_schedule_counts_past_int64_name_their_override(self):
+        # once an OverflowError in psgd after the output directory was made
+        with pytest.raises(ConfigError, match=r"learn.steps count of 1.667e\+22, past 2\^63 - 1; set learn.steps"):
+            config_from_mapping({"command": "learn", "learn.mode": "theoretical"})
+        assert config_from_mapping({"command": "learn", "learn.mode": "theoretical", "learn.steps": 10}).params
+        with pytest.raises(ConfigError, match=r"learn.selection count of .*, past 2\^63 - 1; set learn.selection"):
+            config_from_mapping({**SELECTING_FLAT, "learn.eps": 1e-12})
 
     def test_hash_property_matches_free_function(self):
         flat = dict(LEARN_FLAT)
@@ -852,6 +848,12 @@ def _write_config(path: Path, flat: dict) -> Path:
     return path
 
 
+def _package_env() -> dict:
+    """The environment with this copy of the package first on PYTHONPATH, for a child process."""
+    package_root = str(Path(massart_halfspace.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_console_gradcheck(command: list, tmp_path: Path, env=None) -> None:
     """Run a 5-case gradcheck through a console-script command in its own process."""
     cfg_path = _write_config(
@@ -880,7 +882,9 @@ BENCH_FLAT = {"command": "bench", "bench.samples": 5000, "marginal.dim": 4}
 # past their bounds once escaped mid-run as a ValueError or MemoryError
 # traceback, the subnormal smoothing widths ran into abort rows or a learner
 # whose sigmoid derivative underflowed to 0, and an angle past pi under
-# `verify.sigma = cap` gave a config error about theta, naming no key.
+# `verify.sigma = cap` gave a config error about theta, naming no key. The
+# theoretical schedule at the defaults, 1.67e22 steps, once made the output
+# directory and then died as an OverflowError traceback in the first trial.
 MALFORMED = [
     (LEARN_FLAT, {"eval.min_pass": 0}),
     (LEARN_FLAT, {"eval.min_pass": 5}),
@@ -933,6 +937,7 @@ MALFORMED = [
     (VERIFY_FLAT, {"verify.sigma": 1e-320}),
     (LEARN_FLAT, {"learn.sigma": 1e-320}),
     (VERIFY_FLAT, {"verify.angles": 4.0}),
+    ({"command": "learn"}, {"learn.mode": "theoretical"}),
 ]
 MALFORMED_IDS = [
     "min_pass_below_one", "min_pass_above_trials", "unknown_mode", "negative_seed", "strong_slope_above_one",
@@ -1022,6 +1027,14 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: field out")
 
+    def test_json_config_is_a_config_error_at_line_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"command": "bench", "bench.samples": 5000}, indent=2))
+        out = tmp_path / "out"
+        assert cli_main(["bench", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: line 1:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fixture", ["learn_massart_gaussian.cfg", "learn_strong_gaussian.cfg"])
     def test_underflowing_target_angle_names_eps(self, tmp_path, capsys, fixture):
         # On the Gaussian profiles eps = 1e-320 underflows the target angle
@@ -1060,12 +1073,7 @@ class TestCli:
             "sys.argv[0] = 'massart-halfspace'\n"
             "sys.exit(entry())\n"
         )
-        package_root = str(Path(massart_halfspace.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        )
-        _run_console_gradcheck([sys.executable, "-c", wrapper], tmp_path, env)
+        _run_console_gradcheck([sys.executable, "-c", wrapper], tmp_path, _package_env())
 
     @pytest.mark.skipif(
         shutil.which("massart-halfspace") is None,
@@ -1094,8 +1102,7 @@ class TestMalformedFixtures:
     @settings(max_examples=60, deadline=None)
     def test_one_key_change_is_accepted_or_a_config_error(self, fixture, data):
         # Drop one key of a fixture, or set it to an odd value. Reading the
-        # config must then succeed or raise ConfigError, and where it raises,
-        # the CLI must exit 1 with `config error:` before creating any output.
+        # mapping must then succeed or raise ConfigError.
         flat = read_config(fixture)
         key = data.draw(st.sampled_from(MUTABLE_KEYS))
         if key in flat and data.draw(st.booleans()):
@@ -1104,12 +1111,17 @@ class TestMalformedFixtures:
             flat[key] = data.draw(ODD_VALUES)
         try:
             config_from_mapping(flat)
-            return  # accepted; no trial runs here
         except ConfigError:
             pass
+        # The same config as a file: where the mapping read back from it is
+        # refused, the CLI must refuse it before making the output directory.
         with tempfile.TemporaryDirectory() as tmp:
-            path, out = Path(tmp) / "c.json", Path(tmp) / "out"
-            path.write_text(json.dumps(flat))
+            path, out = _write_config(Path(tmp) / "c.cfg", flat), Path(tmp) / "out"
+            try:
+                config_from_mapping(read_config(path))
+                return  # accepted; no trial runs here
+            except ConfigError:
+                pass
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = cli_main([flat["command"], "--config", str(path), "--out", str(out)])
@@ -1268,3 +1280,14 @@ class TestExitCodes:
         assert EXIT_OK == 0
         assert EXIT_CONFIG == 1
         assert EXIT_TRIAL_FAILURES == 2
+
+
+class TestScripts:
+    def test_eps_sweep_reports_a_config_error_as_the_cli_does(self, tmp_path):
+        # once a ConfigError traceback
+        out = tmp_path / "eps"
+        proc = subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / "eps_sweep.py"), "--eps", "2", "--out", str(out)],
+                              capture_output=True, text=True, env=_package_env(), cwd=tmp_path)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error:"), proc.stderr
+        assert not out.exists()
