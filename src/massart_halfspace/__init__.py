@@ -67,61 +67,3 @@ from .verify import (
     verify_lemma,
     verify_stationary_gap,
 )
-
-__all__ = [
-    "__version__",
-    "BOUNDED_NOISE_KINDS",
-    "BoundedProfile",
-    "ConfigError",
-    "Draw",
-    "ExperimentConfig",
-    "LearnParams",
-    "LearnReport",
-    "MarginalSampler",
-    "MassartOracle",
-    "NOISE_KINDS",
-    "NoiseStrategy",
-    "PROFILE_BUILDERS",
-    "PopulationEstimate",
-    "PsgdConfig",
-    "PsgdDivergenceError",
-    "Schedule",
-    "StructuralCheckConfig",
-    "SurrogateSpec",
-    "Trajectory",
-    "UnderpoweredCheckError",
-    "angle_between",
-    "derive_seed",
-    "disk_profile",
-    "empirical_density_check",
-    "error_lower_bound_from_angle",
-    "error_upper_bound_from_angle",
-    "excess_to_target_error",
-    "gaussian_profile",
-    "learn",
-    "lemma_gradient_floor",
-    "lemma_sigma_cap",
-    "load_config",
-    "logconcave_profile",
-    "make_rng",
-    "margin",
-    "measure_disagreement",
-    "noise_rates",
-    "per_sample_gradient",
-    "per_sample_loss",
-    "plane_density",
-    "population_estimates",
-    "psgd_run",
-    "psgd_run_batch",
-    "run",
-    "sample_gradients",
-    "schedule_for",
-    "select_hypothesis",
-    "sign_of",
-    "surrogate_derivative",
-    "surrogate_value",
-    "theoretical_iteration_count",
-    "theoretical_step_size",
-    "verify_lemma",
-    "verify_stationary_gap",
-]

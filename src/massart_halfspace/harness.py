@@ -78,7 +78,7 @@ def _parse_scalar(text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat dotted-key mapping from `key = value` lines."""
+    """Flat dotted-key mapping from `key = value` lines, each key a SCHEMA key."""
     flat = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -91,6 +91,8 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key not in SCHEMA:
+            raise ConfigError(f"line {lineno}: unknown config field {key!r}")
         if key in flat:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         flat[key] = _parse_scalar(value)
@@ -304,8 +306,8 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
 def read_config(path: str | Path) -> dict:
     """The flat mapping of the config file at path."""
     try:
-        return parse_config_text(Path(path).read_text())
-    except OSError as exc:
+        return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

@@ -126,12 +126,7 @@ class Schedule:
     @property
     def candidate_count(self) -> int:
         """Recorded iterates of the PSGD run, each with its negation."""
-        return _candidate_count(self.steps, self.record_every)
-
-
-def _candidate_count(steps: int, record_every: int) -> int:
-    """Schedule.candidate_count, before the Schedule exists."""
-    return 2 * recorded_count(steps, record_every)
+        return 2 * recorded_count(self.steps, self.record_every)
 
 
 def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq: float) -> int:
@@ -142,7 +137,7 @@ def _selection_count(params: LearnParams, steps: int, record_every: int, gap_sq:
     if params.mode == "theoretical":
         return max(2, math.ceil(math.log(steps / params.delta) / gap_sq))
     return max(2, math.ceil(
-        PRACTICAL_SELECTION_SCALE * math.log(_candidate_count(steps, record_every) / params.delta) / gap_sq
+        PRACTICAL_SELECTION_SCALE * math.log(2 * recorded_count(steps, record_every) / params.delta) / gap_sq
     ))
 
 

@@ -174,19 +174,12 @@ class AngleGapResult:
     good_mass: float  # gradient mass pulled by the good region
     bad_mass: float   # mass pushed back by its complement
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 @dataclass(frozen=True)
 class StructuralReport:
     lemma_kind: str
     floor: float
     results: tuple[AngleGapResult, ...] = field(default_factory=tuple)
-
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.results)
 
 
 def _estimate_angle(

@@ -165,7 +165,7 @@ class TestParseConfigText:
 
     def test_missing_equals_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
-            parse_config_text("a = 1\nnot a pair\n")
+            parse_config_text("trials = 1\nnot a pair\n")
 
     def test_empty_key_rejected(self):
         with pytest.raises(ConfigError, match="empty key"):
@@ -173,7 +173,12 @@ class TestParseConfigText:
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_text("a = 1\na = 2\n")
+            parse_config_text("trials = 1\ntrials = 2\n")
+
+    def test_unknown_key_reports_line_number(self):
+        # once refused only by config_from_mapping, with no line
+        with pytest.raises(ConfigError, match="line 3: unknown config field 'learn.epsx'"):
+            parse_config_text("command = learn\ntrials = 1\nlearn.epsx = 0.1\n")
 
     def test_json_text_is_refused_at_line_one(self):
         # JSON is not a config syntax; its opening brace is a line without '='
@@ -1035,6 +1040,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: line 1:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, message", [
+        (b"command = gradcheck\ngradcheck.cases = 5\n# \xff\n", "cannot read config"),  # once a traceback
+        (b'{"trials": 1, "out": "a=b"}\n', "line 1: unknown config field"),  # once named no line
+    ], ids=["not_utf8", "json_with_equals"])
+    def test_bad_config_text_is_a_config_error(self, tmp_path, capsys, body, message):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_bytes(body)
+        out = tmp_path / "out"
+        assert cli_main(["gradcheck", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fixture", ["learn_massart_gaussian.cfg", "learn_strong_gaussian.cfg"])
     def test_underflowing_target_angle_names_eps(self, tmp_path, capsys, fixture):
         # On the Gaussian profiles eps = 1e-320 underflows the target angle
@@ -1189,6 +1206,51 @@ KEY_NAMES = [key.rsplit(".", 1)[-1] for key in SCHEMA]
 SCHEDULE_KEYS = {"learn.eps", "learn.delta", "learn.mode", "noise.eta_bound", "noise.c_strong"}
 
 
+# One line of a config file: four times in five a schema key with a value, in
+# its domain three times in four, else a line the parser refuses or bytes that
+# are not UTF-8 text.
+SCHEMA_LINE = st.sampled_from(sorted(SCHEMA)).flatmap(
+    lambda key: st.sampled_from([_in_domain(SCHEMA[key])] * 3 + [ODD_VALUES]).flatmap(lambda values: values)
+    .map(lambda value: f"{key} = {value}".encode())
+)
+JUNK_LINES = [
+    b"", b"# comment", b"not a pair", b"= 3", b"{", b'{"trials": 1, "out": "a=b"}', b"learn.epsx = 0.1",
+    b"\xff", b"trials = \xc3\x28", b"\xef\xbb\xbfbase_seed = 1", b"\x00 = 1",
+]
+CONFIG_LINE = st.sampled_from([SCHEMA_LINE] * 4 + [st.sampled_from(JUNK_LINES)]).flatmap(lambda lines: lines)
+
+
+class TestConfigBytes:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_config_file_is_read_or_a_config_error(self, data):
+        # Reading any config file, and checking its mapping, either succeeds or
+        # raises ConfigError. A file the CLI refuses gives exit 1 before it
+        # makes the output directory.
+        command = data.draw(st.sampled_from(COMMANDS))
+        lines = data.draw(st.lists(CONFIG_LINE, max_size=6))
+        lines.insert(data.draw(st.integers(0, len(lines))), f"command = {command}".encode())
+        body = data.draw(st.sampled_from([b""] * 7 + [b"\xef\xbb\xbf"])) + b"\n".join(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.cfg", Path(tmp) / "out"
+            path.write_bytes(body)
+            try:
+                config_from_mapping(read_config(path))
+            except ConfigError:
+                pass
+            try:  # the mapping the CLI checks: its own command and out
+                config_from_mapping({**read_config(path), "command": command, "out": str(out)})
+                return  # accepted; no trial runs here
+            except ConfigError:
+                pass
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli_main([command, "--config", str(path), "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert err.getvalue().startswith("config error:")
+            assert not out.exists()
+
+
 def _summary_agrees(command: str, out: Path, code: int) -> None:
     """summary.json and the exit code are what the CSV rows say."""
     summary = json.loads((out / "summary.json").read_text())
@@ -1273,6 +1335,16 @@ class TestReadmeKeys:
                 assert default_cell == ",".join(map(str, spec.default)), key
             elif spec.default is not None:
                 assert default_cell.strip("`") == str(spec.default), key
+
+
+class TestReadmeLibrary:
+    def test_library_block_runs(self):
+        # the block imports the top-level names README promises, and draws from a sampler
+        section = (REPO_ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(code, namespace)
+        assert namespace["xs"].shape == (1000, 5)
 
 
 class TestExitCodes:

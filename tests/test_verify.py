@@ -209,7 +209,7 @@ class TestEstimatorAgainstQuadrature:
         report = verify_stationary_gap(cfg, np.array([1.0, 0.0]))
         assert report.lemma_kind == "sigmoid"
         assert report.floor == pytest.approx(SIGMOID_FLOOR, rel=1e-14)
-        assert report.all_pass()
+        assert all(r.verdict == "pass" for r in report.results)
         for res in report.results:
             anchor = QUAD_CONST_ETA03[res.theta]
             assert res.stderr <= SIGMOID_FLOOR * 0.1 + 1e-15
@@ -234,7 +234,7 @@ class TestEstimatorAgainstQuadrature:
         )
         report = verify_stationary_gap(cfg, np.array([1.0, 0.0]))
         assert report.floor == pytest.approx(STRONG_FLOOR, rel=1e-14)
-        assert report.all_pass()
+        assert all(r.verdict == "pass" for r in report.results)
         for res in report.results:
             assert abs(res.estimate - QUAD_STRONG_C05[res.theta]) <= 4.0 * res.stderr
 
@@ -313,7 +313,7 @@ class TestEstimatorProperties:
                 seed=320,
             )
             res = verify_stationary_gap(cfg, np.array([1.0, 0.0])).results[0]
-            assert res.passed, f"floor violated under {kind}"
+            assert res.verdict == "pass", f"floor violated under {kind}"
             assert res.estimate >= SIGMOID_FLOOR - 3.0 * res.stderr
 
     def test_region_masses_decompose_the_estimate(self):
