@@ -306,7 +306,7 @@ def config_from_mapping(flat: dict) -> ExperimentConfig:
 def read_config(path: str | Path) -> dict:
     """The flat mapping of the config file at path."""
     try:
-        return parse_config_text(Path(path).read_text(encoding="utf-8"))
+        return parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
@@ -401,7 +401,7 @@ def _learn_trial(config: ExperimentConfig, trial: int) -> tuple[dict, list[list]
         "noisy_error": noisy_err, "opt_estimate": opt_est, "opt_stderr": opt_se,
         "excess_error": excess, "samples_used": sched.steps + sched.selection_samples, "steps": sched.steps,
         "step_size": sched.step_size, "sigma": sched.sigma, "selection_samples": sched.selection_samples,
-        "candidate_count": report.candidate_count, "chosen_step": step,
+        "candidate_count": sched.candidate_count, "chosen_step": step,
         "chosen_sign": sign, "verdict": "pass" if ok else "fail",
         "wall_time_s": round(report.wall_time_s, 3), "angle_to_target": angle_between(report.chosen, target),
     }

@@ -55,7 +55,7 @@ from .geometry import BoundedProfile
 from .noise import MODEL_STRONG, MassartOracle, NoiseStrategy
 from .psgd import PsgdConfig, Trajectory, psgd_run, recorded_count
 from .rng import STREAM_SELECT
-from .surrogate import SurrogateSpec
+from .surrogate import SurrogateSpec, sigmoid_slope
 from .verify import lemma_sigma_cap, verify_lemma
 
 MODES = ("theoretical", "practical")
@@ -293,10 +293,13 @@ class LearnReport:
     chosen: np.ndarray
     chosen_index: int
     candidate_errors: np.ndarray  # selection error of each candidate
-    candidate_count: int
     schedule: Schedule
     trajectory: Trajectory
     wall_time_s: float
+
+    @property
+    def candidate_count(self) -> int:
+        return self.schedule.candidate_count
 
 
 # Examples are pulled from the oracle in batches of this size during PSGD,
@@ -314,18 +317,14 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
     steps + selection_samples.
 
     PSGD starts at e_1 and sees each example label-folded, z = y * x, as one flat
-    tuple (z0, ..., z{d-1}, ||z||^2): a margin loss, whose projection norm is a
-    scalar formula (`psgd`). Selection multiplies only the recorded iterates. PSGD draws
-    nothing, so psgd_seed is ignored; it stays while the benchmark's learn() wrapper passes it.
+    tuple (z0, ..., z{d-1}, ||z||^2): a margin loss whose slope dloss is
+    surrogate.sigmoid_slope and whose projection norm is a scalar formula (`psgd`).
+    Selection multiplies only the recorded iterates. PSGD draws nothing, so
+    psgd_seed is ignored; it stays while the benchmark's learn() wrapper passes it.
     """
     t0 = time.perf_counter()
     dim = oracle.marginal.dim
     sched = schedule_for(params, oracle.strategy, dim)
-    sigma = sched.sigma
-
-    def dloss(m):  # the sigmoid derivative at the margin m, on floats
-        q = math.exp(-abs(m) / sigma)
-        return q / ((1.0 + q) ** 2 * sigma)
 
     def batch(n):  # flat (z0, ..., z{d-1}, zz) tuples, as psgd_run unpacks them
         drawn = oracle.draw(n)
@@ -334,7 +333,7 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
         return zip(*zs.T.tolist(), np.einsum("ij,ij->i", zs, zs).tolist())
 
     examples = chain.from_iterable(map(batch, repeat(_STREAM_CHUNK)))
-    trajectory = psgd_run(examples, sched.psgd, np.eye(1, dim)[0], dloss=dloss)
+    trajectory = psgd_run(examples, sched.psgd, np.eye(1, dim)[0], dloss=sigmoid_slope(sched.sigma))
 
     sel_oracle = oracle.spawn(STREAM_SELECT)
     n = sched.selection_samples
@@ -357,7 +356,6 @@ def learn(oracle: MassartOracle, params: LearnParams, psgd_seed: int = 0) -> Lea
         chosen=sign * trajectory.iterates[idx % len(trajectory)],
         chosen_index=idx,
         candidate_errors=errors,
-        candidate_count=sched.candidate_count,
         schedule=sched,
         trajectory=trajectory,
         wall_time_s=time.perf_counter() - t0,

@@ -45,52 +45,38 @@ class SurrogateSpec:
             raise ValueError(f"sigma must lie in [{sys.float_info.min}, {SIGMA_MAX}], got {self.sigma!r}")
 
 
-def ramp_value(t, sigma: float):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.clip(t / sigma + 0.5, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def ramp_derivative(t, sigma: float):
-    """Derivative of the ramp; the kinks at +-sigma/2 count as inside."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.where(np.abs(t) <= 0.5 * sigma, 1.0 / sigma, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def sigmoid_value(t, sigma: float):
-    """Logistic step 1/(1 + exp(-t/sigma)), stable for any |t|/sigma.
-
-    The exponential is only ever taken of a non-positive argument: for
-    z <= 0 the value is computed as exp(z)/(1 + exp(z)).
-    """
-    z = np.asarray(t, dtype=np.float64) / sigma
-    q = np.exp(-np.abs(z))
-    out = np.where(z >= 0.0, 1.0 / (1.0 + q), q / (1.0 + q))
-    return float(out) if out.ndim == 0 else out
-
-
-def sigmoid_derivative(t, sigma: float):
-    """d/dt of the logistic step: S(t) * S(-t) / sigma, an even function.
-
-    Peaks at 1/(4*sigma) at the origin and decays like exp(-|t|/sigma).
-    """
-    z = np.asarray(t, dtype=np.float64) / sigma
-    q = np.exp(-np.abs(z))
-    out = q / (1.0 + q) ** 2 / sigma
-    return float(out) if out.ndim == 0 else out
-
-
 def surrogate_value(spec: SurrogateSpec, t):
+    """The surrogate at t; the sigmoid takes exp only of -|t|/sigma, so any |t|/sigma is safe."""
+    t = np.asarray(t, dtype=np.float64)
     if spec.kind == "ramp":
-        return ramp_value(t, spec.sigma)
-    return sigmoid_value(t, spec.sigma)
+        out = np.clip(t / spec.sigma + 0.5, 0.0, 1.0)
+    else:
+        z = t / spec.sigma
+        q = np.exp(-np.abs(z))
+        out = np.where(z >= 0.0, 1.0 / (1.0 + q), q / (1.0 + q))
+    return float(out) if out.ndim == 0 else out
 
 
 def surrogate_derivative(spec: SurrogateSpec, t):
+    """d/dt of the surrogate; the ramp's kinks at +-sigma/2 count as inside."""
+    t = np.asarray(t, dtype=np.float64)
     if spec.kind == "ramp":
-        return ramp_derivative(t, spec.sigma)
-    return sigmoid_derivative(t, spec.sigma)
+        out = np.where(np.abs(t) <= 0.5 * spec.sigma, 1.0 / spec.sigma, 0.0)
+    else:
+        q = np.exp(-np.abs(t / spec.sigma))
+        out = q / (1.0 + q) ** 2 / spec.sigma
+    return float(out) if out.ndim == 0 else out
+
+
+def sigmoid_slope(sigma: float):
+    """The sigmoid derivative on one float margin: PSGD's per-step dloss. It
+    divides once where surrogate_derivative divides twice; PSGD's iterates pin this form."""
+
+    def dloss(m):
+        q = math.exp(-abs(m) / sigma)
+        return q / ((1.0 + q) ** 2 * sigma)
+
+    return dloss
 
 
 def _norm_checked(w: np.ndarray) -> float:

@@ -402,6 +402,14 @@ class TestLoadConfig:
         config = load_config(fixture)
         assert pickle.loads(pickle.dumps(config)).hash == config.hash
 
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.iterdir()), ids=lambda p: p.name)
+    def test_byte_order_mark_reads_as_the_plain_file(self, fixture, tmp_path):
+        # some editors start a UTF-8 file with a BOM; it is no part of the first line
+        marked = tmp_path / fixture.name
+        marked.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        assert read_config(marked) == read_config(fixture)
+        assert load_config(marked).hash == load_config(fixture).hash
+
     def test_unpickled_config_runs_identically(self, tmp_path):
         flat = read_config(FIXTURES / "repro_massart_disk.cfg")
         original = config_from_mapping(_flat(flat, tmp_path / "a"))

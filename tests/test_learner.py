@@ -23,11 +23,11 @@ from massart_halfspace import (
     schedule_for,
     select_hypothesis,
     sign_of,
+    surrogate_derivative,
 )
 from massart_halfspace import learner
 from massart_halfspace.learner import _BLOCK_PRODUCTS, _SELECT_CHUNK, _STREAM_CHUNK, _select, candidate_step_sign
 from massart_halfspace.rng import STREAM_SELECT
-from massart_halfspace.surrogate import sigmoid_derivative
 
 DISK = disk_profile()
 
@@ -553,7 +553,7 @@ def test_scalar_dloss_matches_sigmoid_derivative(sigma, monkeypatch):
     oracle, params, _ = _small_learn_setup(eta_bound=0.2)
     learn(oracle, dataclasses.replace(params, sigma_override=sigma, steps_override=10))
     grid = np.concatenate([np.linspace(-40.0 * sigma, 40.0 * sigma, 4001), [-1e3, 1e3, 0.0, -0.0]])
-    expected = sigmoid_derivative(grid, sigma)
+    expected = surrogate_derivative(SurrogateSpec("sigmoid", sigma), grid)
     got = np.array([passed[0](m) for m in grid.tolist()])
     assert len(passed) == 1
     assert np.all(np.abs(got - expected) <= 1e-15 * expected)

@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,7 @@ from massart_halfspace import (
     surrogate_value,
 )
 from massart_halfspace import surrogate
-from massart_halfspace.surrogate import (
-    ramp_derivative,
-    ramp_value,
-    sigmoid_derivative,
-    sigmoid_value,
-)
+from massart_halfspace.surrogate import SURROGATE_KINDS
 from massart_halfspace.rng import make_rng
 
 
@@ -58,74 +55,110 @@ class TestSpecValidation:
         SurrogateSpec(kind="ramp", sigma=sys.float_info.min)
 
 
+def _ramp(sigma):
+    return SurrogateSpec("ramp", sigma)
+
+
+def _sigmoid(sigma):
+    return SurrogateSpec("sigmoid", sigma)
+
+
 class TestRamp:
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 2.0])
     def test_branch_values(self, sigma):
-        assert ramp_value(0.0, sigma) == 0.5
-        assert ramp_value(sigma, sigma) == 1.0
-        assert ramp_value(-sigma, sigma) == 0.0
-        assert ramp_value(sigma / 4, sigma) == pytest.approx(0.75, abs=1e-15)
+        assert surrogate_value(_ramp(sigma), 0.0) == 0.5
+        assert surrogate_value(_ramp(sigma), sigma) == 1.0
+        assert surrogate_value(_ramp(sigma), -sigma) == 0.0
+        assert surrogate_value(_ramp(sigma), sigma / 4) == pytest.approx(0.75, abs=1e-15)
 
     def test_derivative_hand_value(self):
-        assert ramp_derivative(0.0, 0.4) == 2.5
+        assert surrogate_derivative(_ramp(0.4), 0.0) == 2.5
 
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0])
     def test_derivative_closed_interval(self, sigma):
-        assert ramp_derivative(sigma, sigma) == 0.0
-        assert ramp_derivative(sigma / 2, sigma) == 1.0 / sigma
-        assert ramp_derivative(-sigma / 2, sigma) == 1.0 / sigma
-        assert ramp_derivative(np.nextafter(sigma / 2, 2 * sigma), sigma) == 0.0
+        assert surrogate_derivative(_ramp(sigma), sigma) == 0.0
+        assert surrogate_derivative(_ramp(sigma), sigma / 2) == 1.0 / sigma
+        assert surrogate_derivative(_ramp(sigma), -sigma / 2) == 1.0 / sigma
+        assert surrogate_derivative(_ramp(sigma), np.nextafter(sigma / 2, 2 * sigma)) == 0.0
 
     def test_vectorized(self):
         t = np.array([-1.0, 0.0, 1.0])
-        assert np.array_equal(ramp_value(t, 1.0), [0.0, 0.5, 1.0])
-        assert np.array_equal(ramp_derivative(t, 1.0), [0.0, 1.0, 0.0])
+        assert np.array_equal(surrogate_value(_ramp(1.0), t), [0.0, 0.5, 1.0])
+        assert np.array_equal(surrogate_derivative(_ramp(1.0), t), [0.0, 1.0, 0.0])
 
 
 class TestSigmoid:
     def test_value_examples(self):
-        assert sigmoid_value(0.0, 0.3) == 0.5
+        assert surrogate_value(_sigmoid(0.3), 0.0) == 0.5
         # hand arithmetic: 1/(1 + exp(-1))
-        assert sigmoid_value(1.0, 1.0) == pytest.approx(0.7310585786300049, abs=1e-15)
-        assert sigmoid_value(-1.0, 1.0) == pytest.approx(0.2689414213699951, abs=1e-15)
+        assert surrogate_value(_sigmoid(1.0), 1.0) == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert surrogate_value(_sigmoid(1.0), -1.0) == pytest.approx(0.2689414213699951, abs=1e-15)
 
     def test_complement_identity(self):
+        spec = _sigmoid(0.7)
         for t in [0.0, 0.2, 1.7, 40.0]:
-            assert sigmoid_value(t, 0.7) + sigmoid_value(-t, 0.7) == pytest.approx(1.0, abs=1e-15)
+            assert surrogate_value(spec, t) + surrogate_value(spec, -t) == pytest.approx(1.0, abs=1e-15)
 
     def test_extreme_arguments_stay_finite(self):
-        assert sigmoid_value(-1000.0, 1.0) == 0.0
-        assert sigmoid_value(1000.0, 1.0) == 1.0
-        assert sigmoid_derivative(-1000.0, 1.0) == 0.0
+        assert surrogate_value(_sigmoid(1.0), -1000.0) == 0.0
+        assert surrogate_value(_sigmoid(1.0), 1000.0) == 1.0
+        assert surrogate_derivative(_sigmoid(1.0), -1000.0) == 0.0
 
     def test_monotone(self):
         t = np.linspace(-5, 5, 101)
-        assert np.all(np.diff(sigmoid_value(t, 0.4)) > 0)
+        assert np.all(np.diff(surrogate_value(_sigmoid(0.4), t)) > 0)
 
     def test_derivative_examples(self):
-        assert sigmoid_derivative(0.0, 1.0) == 0.25
-        assert sigmoid_derivative(0.0, 0.5) == 0.5
+        assert surrogate_derivative(_sigmoid(1.0), 0.0) == 0.25
+        assert surrogate_derivative(_sigmoid(0.5), 0.0) == 0.5
 
     def test_derivative_even(self):
-        assert sigmoid_derivative(0.7, 0.3) == sigmoid_derivative(-0.7, 0.3)
+        assert surrogate_derivative(_sigmoid(0.3), 0.7) == surrogate_derivative(_sigmoid(0.3), -0.7)
 
     def test_derivative_peaks_at_origin(self):
         t = np.linspace(-3, 3, 601)
-        d = sigmoid_derivative(t, 0.8)
+        d = surrogate_derivative(_sigmoid(0.8), t)
         assert np.argmax(d) == 300
         assert d.max() == pytest.approx(1.0 / (4 * 0.8), abs=1e-15)
 
     def test_derivative_matches_finite_difference(self):
-        h = 1e-6
+        h, spec = 1e-6, _sigmoid(0.7)
         for t in [-2.0, -0.3, 0.0, 0.5, 1.9]:
-            fd = (sigmoid_value(t + h, 0.7) - sigmoid_value(t - h, 0.7)) / (2 * h)
-            assert sigmoid_derivative(t, 0.7) == pytest.approx(fd, rel=1e-8)
+            fd = (surrogate_value(spec, t + h) - surrogate_value(spec, t - h)) / (2 * h)
+            assert surrogate_derivative(spec, t) == pytest.approx(fd, rel=1e-8)
 
     def test_dispatch(self):
-        assert surrogate_value(SurrogateSpec("sigmoid", 1.0), 1.0) == sigmoid_value(1.0, 1.0)
-        assert surrogate_value(SurrogateSpec("ramp", 1.0), 0.25) == ramp_value(0.25, 1.0)
-        assert surrogate_derivative(SurrogateSpec("ramp", 0.4), 0.0) == 2.5
-        assert surrogate_derivative(SurrogateSpec("sigmoid", 0.5), 0.0) == 0.5
+        # each kind reaches its own formula: the sigmoid's 1/(1 + exp(-1)), the ramp's 1/4 + 1/2
+        assert surrogate_value(_sigmoid(1.0), 1.0) == 0.7310585786300049
+        assert surrogate_value(_ramp(1.0), 0.25) == 0.75
+        assert surrogate_derivative(_ramp(0.4), 0.0) == 2.5
+        assert surrogate_derivative(_sigmoid(0.5), 0.0) == 0.5
+
+
+GOLDEN_BITS = Path(__file__).resolve().parent / "golden" / "surrogate_bits.json"
+
+
+def _golden_points(sigma):
+    """0, +-sigma/2 and their nextafter neighbours on both sides, +-40 sigma, +-1000."""
+    h = sigma / 2
+    return [0.0, h, -h, math.nextafter(h, 0.0), math.nextafter(h, math.inf), math.nextafter(-h, 0.0),
+            math.nextafter(-h, -math.inf), 40.0 * sigma, -40.0 * sigma, 1000.0, -1000.0]
+
+
+class TestGoldenBits:
+    """float.hex of both formulas at pinned points: a rewrite of either must
+    keep every bit, the kinks' closed interval and the far tails included."""
+
+    golden = json.loads(GOLDEN_BITS.read_text())
+
+    @pytest.mark.parametrize("kind", SURROGATE_KINDS)
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 0.7])
+    @pytest.mark.parametrize("name, f", [("value", surrogate_value), ("derivative", surrogate_derivative)])
+    def test_scalar_and_array_bits(self, kind, sigma, name, f):
+        spec, ts = SurrogateSpec(kind, sigma), _golden_points(sigma)
+        expected = self.golden[f"{kind} {sigma!r}"][name]
+        assert [f(spec, t).hex() for t in ts] == expected
+        assert [x.hex() for x in f(spec, np.array(ts)).tolist()] == expected
 
 
 class TestMargin:
