@@ -312,20 +312,22 @@ class PlaneDensity:
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "standard_gaussian":
             return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-        r = self.radius
-        u2 = np.clip(t / r, -1.0, 1.0) ** 2
-        inside = u2 < 1.0
-        expo = self._marg_beta - 1.0
         from scipy import special
-        norm = r * special.beta(0.5, self._marg_beta)
-        base = np.where(inside, 1.0 - u2, 1.0)
-        return np.where(inside, base**expo / norm, 0.0)
+        norm = self.radius * special.beta(0.5, self._marg_beta)
+        u2 = np.clip(t / self.radius, -1.0, 1.0) ** 2
+        # (1 - u2)**expo / norm at every point, then 0 off the support. The
+        # exponent is never negative, so the edge u2 = 1 raises no warning.
+        pdf = np.subtract(1.0, u2, out=np.empty_like(t))
+        pdf **= self._marg_beta - 1.0
+        pdf /= norm
+        np.copyto(pdf, 0.0, where=~(u2 < 1.0))
+        return pdf
 
     def sample_marginal(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "standard_gaussian":
             return rng.standard_normal(n)
         u = np.sqrt(rng.beta(0.5, self._marg_beta, size=n))
-        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        signs = (rng.random(n) < 0.5) * 2.0 - 1.0
         return self.radius * u * signs
 
     def sample_conditional(self, t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -336,7 +338,7 @@ class PlaneDensity:
             return rng.standard_normal(n)
         half_width = np.sqrt(np.maximum(self.radius**2 - t * t, 0.0))
         u = np.sqrt(rng.beta(0.5, self._cond_beta, size=n))
-        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        signs = (rng.random(n) < 0.5) * 2.0 - 1.0
         return half_width * u * signs
 
     def conditional_inverse_cdf(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ def sign_of(t):
     arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("sign_of: input must be finite")
-    out = np.where(arr >= 0.0, 1.0, -1.0)
+    out = (arr >= 0.0) * 2.0 - 1.0
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out

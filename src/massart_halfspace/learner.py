@@ -223,7 +223,8 @@ def _select(half: np.ndarray, slabs, n: int) -> np.ndarray:
             prods = half @ zs[lo : lo + rows].T
             if not np.isfinite(prods).all():
                 raise ValueError("selection products must be finite")
-            wrong += np.count_nonzero(prods < 0.0, axis=1)
+            # one count per row: numpy's axis=1 count costs about as much as the matmul
+            wrong += [np.count_nonzero(row) for row in prods < 0.0]
             if not prods.all():  # a tie: rare on a continuous marginal
                 tie = prods == 0.0
                 tie_neg = np.count_nonzero(tie & neg[lo : lo + rows], axis=1)

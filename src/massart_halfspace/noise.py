@@ -117,7 +117,7 @@ def noise_rates(
         return strategy.eta_bound * _hash_unit_floats(xs, strategy.hash_seed)
     margins = np.abs(xs @ target if margins is None else margins)
     if kind == "boundary_concentrated":
-        return np.where(margins <= strategy.band, strategy.eta_bound, 0.0)
+        return (margins <= strategy.band) * strategy.eta_bound
     # strong_massart_max
     return np.maximum(0.5 - strategy.c_strong * margins, 0.0)
 

@@ -61,7 +61,7 @@ def surrogate_derivative(spec: SurrogateSpec, t):
     """d/dt of the surrogate; the ramp's kinks at +-sigma/2 count as inside."""
     t = np.asarray(t, dtype=np.float64)
     if spec.kind == "ramp":
-        out = np.where(np.abs(t) <= 0.5 * spec.sigma, 1.0 / spec.sigma, 0.0)
+        out = (np.abs(t) <= 0.5 * spec.sigma) * (1.0 / spec.sigma)
     else:
         q = np.exp(-np.abs(t / spec.sigma))
         out = q / (1.0 + q) ** 2 / spec.sigma

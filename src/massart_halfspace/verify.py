@@ -37,6 +37,12 @@ chunks and each later round doubles the count, trimmed to MC_SAMPLE_CAP
 samples, until _MIN_CHUNKS chunks exist and the stderr is at most
 STDERR_FLOOR_FRACTION of the floor. Once no chunk fits under the cap, an
 UnderpoweredCheckError names the samples reached.
+
+Chunk cost. The output bits fix the order and size of every random draw:
+the band uniforms, the Laplace draws, the marginal's beta draws and sign
+uniforms, the stratum permutation and its uniforms. The rest runs in place
+in buffers made once per angle, and each in-place step keeps the
+association of the whole-array expression, so every output bit is kept.
 """
 from __future__ import annotations
 
@@ -65,6 +71,11 @@ _MIN_CHUNKS = 16  # the stderr over fewer chunk means is not trusted
 # The first round draws ceil(mc_samples / _CHUNK) whole chunks, so a larger
 # mc_samples would pass MC_SAMPLE_CAP before the cap is first checked.
 MAX_MC_SAMPLES = MC_SAMPLE_CAP // _CHUNK * _CHUNK
+# Up to this dimension a chunk fills its embedded points one column at a
+# time, above it by one broadcast per term. The broadcast's inner loop runs
+# over the d entries of a row, which is slow at small d; the column writes
+# land d floats apart, which is slow at large d.
+_COLUMN_BUILD_DIM = 10
 
 # Share of the importance proposal drawn from the Laplace band at the margin.
 MIXTURE_WEIGHT = 0.9
@@ -215,34 +226,71 @@ def _estimate_angle(
     sums, sqs = np.zeros(3), np.zeros(3)
     chunks, want = 0, max(2, math.ceil(config.mc_samples / _CHUNK))
     target_stderr = floor * STDERR_FLOOR_FRACTION
+    # Buffers for every chunk of this angle. Each in-place step below keeps
+    # the association of the whole-array expression in its comment.
+    m, weight, v, margin, tmp, good, bad = (np.empty(_CHUNK) for _ in range(7))
+    xs = np.empty((_CHUNK, dim))
+    mask = np.empty(_CHUNK, dtype=bool)
     while True:
-        from_band = rng.random(_CHUNK) < mix
-        k = int(from_band.sum())
-        m = np.empty(_CHUNK)
-        m[from_band] = rng.laplace(0.0, lap_scale, k)
-        m[~from_band] = plane.sample_marginal(_CHUNK - k, rng)
+        # m: a Laplace draw where uniform < mix, a marginal draw elsewhere
+        np.less(rng.random(out=tmp), mix, out=mask)
+        k = np.count_nonzero(mask)
+        m[mask] = rng.laplace(0.0, lap_scale, k)
+        m[np.logical_not(mask, out=mask)] = plane.sample_marginal(_CHUNK - k, rng)
         marg = plane.marginal_pdf(m)
-        laplace_pdf = np.exp(-np.abs(m) / lap_scale) / (2.0 * lap_scale)
-        proposal = mix * laplace_pdf + (1.0 - mix) * marg
-        weight = marg / proposal
+        # weight = marg / (mix * laplace_pdf + (1 - mix) * marg),
+        # laplace_pdf = exp(-|m| / lap_scale) / (2 lap_scale)
+        np.negative(np.abs(m, out=weight), out=weight)
+        weight /= lap_scale
+        np.exp(weight, out=weight)
+        weight /= 2.0 * lap_scale
+        weight *= mix
+        weight += np.multiply(marg, 1.0 - mix, out=tmp)
+        np.divide(marg, weight, out=weight)
         # Stratified conditional coordinate: one uniform per equal-mass
         # stratum, shuffled against the m draws, pushed through the
         # conditional quantile function.
-        v = (rng.permutation(_CHUNK) + rng.random(_CHUNK)) / _CHUNK
+        # v = (permutation + uniform) / _CHUNK
+        perm = rng.permutation(_CHUNK)
+        rng.random(out=v)
+        v += perm
+        v /= _CHUNK
         np.clip(v, 1e-12, 1.0 - 1e-12, out=v)
-        u = np.where(marg > 0.0, plane.conditional_inverse_cdf(m, v), 0.0)
-        target_margin = cos_t * m + sin_t * u
-        s = sign_of(target_margin)
-        xs = m[:, None] * w_hat + u[:, None] * b1
-        rates = noise_rates(config.noise, target, xs)
-        f = -(1.0 - 2.0 * rates) * s * surrogate_derivative(config.surrogate, m) * u
-        contrib = f * weight
-        in_good = (u * s) > 0.0
-        good = np.where(in_good, -contrib, 0.0)
-        bad = np.where(in_good, 0.0, contrib)
+        # u = the quantile where marg > 0, else 0
+        u = plane.conditional_inverse_cdf(m, v)
+        u[np.logical_not(np.greater(marg, 0.0, out=mask), out=mask)] = 0.0
+        # s = sign(cos_t * m + sin_t * u)
+        np.multiply(m, cos_t, out=margin)
+        margin += np.multiply(u, sin_t, out=tmp)
+        s = sign_of(margin)
+        # xs = m[:, None] * w_hat + u[:, None] * b1
+        if dim <= _COLUMN_BUILD_DIM:
+            for j in range(dim):
+                col = xs[:, j]
+                np.multiply(m, w_hat[j], out=col)
+                col += np.multiply(u, b1[j], out=tmp)
+        else:
+            np.multiply(m[:, None], w_hat, out=xs)
+            xs += u[:, None] * b1
+        # contrib = -(1 - 2 rates) * s * D(m) * u * weight, left to right
+        contrib = noise_rates(config.noise, target, xs)
+        contrib *= 2.0
+        np.subtract(1.0, contrib, out=contrib)
+        np.negative(contrib, out=contrib)
+        contrib *= s
+        contrib *= surrogate_derivative(config.surrogate, m)
+        contrib *= u
+        contrib *= weight
+        # good = -contrib where u * s > 0, bad = contrib elsewhere. The mask
+        # product leaves some zeros as -0.0, which changes no sum; a
+        # non-finite contrib makes the stderr NaN and the angle underpowered
+        # whatever good and bad hold.
+        np.greater(np.multiply(u, s, out=tmp), 0.0, out=mask)
+        np.multiply(np.negative(contrib, out=good), mask, out=good)
+        np.multiply(contrib, np.logical_not(mask, out=mask), out=bad)
         chunks += 1
         for i, arr in enumerate((contrib, good, bad)):
-            mi = float(arr.mean())
+            mi = float(arr.sum()) / _CHUNK  # arr.mean(), without its Python overhead
             sums[i] += mi
             sqs[i] += mi * mi
         if chunks < want:

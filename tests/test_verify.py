@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import massart_halfspace.verify as verify_mod
 from massart_halfspace import (
@@ -15,10 +16,14 @@ from massart_halfspace import (
     gaussian_profile,
     lemma_gradient_floor,
     lemma_sigma_cap,
+    plane_density,
     population_estimates,
     verify_lemma,
     verify_stationary_gap,
 )
+from massart_halfspace.geometry import sign_of
+from massart_halfspace.noise import noise_rates
+from massart_halfspace.surrogate import surrogate_derivative
 
 DISK = disk_profile()
 GAUSS = gaussian_profile()
@@ -395,3 +400,291 @@ class TestEstimatorProperties:
             assert res.samples == least * chunk
         else:  # the stderr target alone forced further doublings
             assert res.samples > least * chunk
+
+
+# ---------------------------------------------------------------------------
+# Bit parity. The verify chunk and the helpers it calls compute in place and
+# without scalar-operand np.where. The whole-array forms below are what they
+# replaced; on one machine both must give the same bits. numpy picks its SIMD
+# loops by CPU, so the comparison runs in one process, not against stored bytes.
+
+
+def _where_sign_of(t):
+    arr = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sign_of: input must be finite")
+    out = np.where(arr >= 0.0, 1.0, -1.0)
+    if np.isscalar(t) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def _where_marginal_pdf(plane, t):
+    t = np.asarray(t, dtype=np.float64)
+    if plane.kind == "standard_gaussian":
+        return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    r = plane.radius
+    u2 = np.clip(t / r, -1.0, 1.0) ** 2
+    inside = u2 < 1.0
+    expo = plane._marg_beta - 1.0
+    norm = r * special.beta(0.5, plane._marg_beta)
+    base = np.where(inside, 1.0 - u2, 1.0)
+    return np.where(inside, base**expo / norm, 0.0)
+
+
+def _where_sample_marginal(plane, n, rng):
+    if plane.kind == "standard_gaussian":
+        return rng.standard_normal(n)
+    u = np.sqrt(rng.beta(0.5, plane._marg_beta, size=n))
+    signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return plane.radius * u * signs
+
+
+def _where_sample_conditional(plane, t, rng):
+    t = np.asarray(t, dtype=np.float64)
+    n = t.shape[0]
+    if plane.kind == "standard_gaussian":
+        return rng.standard_normal(n)
+    half_width = np.sqrt(np.maximum(plane.radius**2 - t * t, 0.0))
+    u = np.sqrt(rng.beta(0.5, plane._cond_beta, size=n))
+    signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return half_width * u * signs
+
+
+def _where_derivative(spec, t):
+    t = np.asarray(t, dtype=np.float64)
+    if spec.kind == "ramp":
+        out = np.where(np.abs(t) <= 0.5 * spec.sigma, 1.0 / spec.sigma, 0.0)
+    else:
+        q = np.exp(-np.abs(t / spec.sigma))
+        out = q / (1.0 + q) ** 2 / spec.sigma
+    return float(out) if out.ndim == 0 else out
+
+
+def _where_noise_rates(strategy, target, xs):
+    if strategy.kind == "boundary_concentrated":
+        return np.where(np.abs(xs @ target) <= strategy.band, strategy.eta_bound, 0.0)
+    return noise_rates(strategy, target, xs)
+
+
+def _reference_estimate_angle(config, target, theta, plane, floor, rng):
+    """verify._estimate_angle in its whole-array form, over the helper forms above.
+    It reads the module's constants at call time, so a monkeypatch reaches both."""
+    vm = verify_mod
+    dim = config.marginal.dim
+    sigma = config.surrogate.sigma
+    mix = vm.MIXTURE_WEIGHT
+    lap_scale = 1.5 * sigma
+    norm = 0.0
+    while norm < 1e-12:
+        z = rng.standard_normal(dim)
+        z -= (z @ target) * target
+        norm = math.sqrt(float(z @ z))
+    span = z / norm
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    w_hat = cos_t * target + sin_t * span
+    b1 = sin_t * target - cos_t * span
+    sums, sqs = np.zeros(3), np.zeros(3)
+    chunks, want = 0, max(2, math.ceil(config.mc_samples / vm._CHUNK))
+    target_stderr = floor * vm.STDERR_FLOOR_FRACTION
+    while True:
+        from_band = rng.random(vm._CHUNK) < mix
+        k = int(from_band.sum())
+        m = np.empty(vm._CHUNK)
+        m[from_band] = rng.laplace(0.0, lap_scale, k)
+        m[~from_band] = _where_sample_marginal(plane, vm._CHUNK - k, rng)
+        marg = _where_marginal_pdf(plane, m)
+        laplace_pdf = np.exp(-np.abs(m) / lap_scale) / (2.0 * lap_scale)
+        proposal = mix * laplace_pdf + (1.0 - mix) * marg
+        weight = marg / proposal
+        v = (rng.permutation(vm._CHUNK) + rng.random(vm._CHUNK)) / vm._CHUNK
+        np.clip(v, 1e-12, 1.0 - 1e-12, out=v)
+        u = np.where(marg > 0.0, plane.conditional_inverse_cdf(m, v), 0.0)
+        target_margin = cos_t * m + sin_t * u
+        s = _where_sign_of(target_margin)
+        xs = m[:, None] * w_hat + u[:, None] * b1
+        rates = _where_noise_rates(config.noise, target, xs)
+        f = -(1.0 - 2.0 * rates) * s * _where_derivative(config.surrogate, m) * u
+        contrib = f * weight
+        in_good = (u * s) > 0.0
+        good = np.where(in_good, -contrib, 0.0)
+        bad = np.where(in_good, 0.0, contrib)
+        chunks += 1
+        for i, arr in enumerate((contrib, good, bad)):
+            mi = float(arr.mean())
+            sums[i] += mi
+            sqs[i] += mi * mi
+        if chunks < want:
+            continue
+        n = chunks * vm._CHUNK
+        mean = sums[0] / chunks
+        stderr = math.sqrt(max(sqs[0] - chunks * mean * mean, 0.0) / (chunks - 1) / chunks)
+        if chunks >= vm._MIN_CHUNKS and stderr <= target_stderr:
+            break
+        if n + vm._CHUNK > vm.MC_SAMPLE_CAP:
+            raise UnderpoweredCheckError(f"stderr {stderr!r} after {n} samples")
+        want += min(chunks, (vm.MC_SAMPLE_CAP - n) // vm._CHUNK)
+    estimate = abs(mean)
+    if theta == 0.0:
+        verdict = "pass" if estimate <= config.confidence_sigmas * stderr else "fail"
+    else:
+        verdict = "pass" if estimate >= floor - config.confidence_sigmas * stderr else "fail"
+    return verify_mod.AngleGapResult(
+        theta=theta, sigma=sigma, floor=floor, estimate=estimate, stderr=stderr, samples=n,
+        verdict=verdict, good_mass=sums[1] / chunks, bad_mass=sums[2] / chunks,
+    )
+
+
+def _result_bits(report):
+    return [(r.theta, r.estimate.hex(), r.stderr.hex(), r.good_mass.hex(), r.bad_mass.hex(),
+             r.samples, r.verdict) for r in report.results]
+
+
+# The profile only sets sigma (the cap at pi/4) and the floor here.
+_PARITY_MARGINALS = [
+    (MarginalSampler("uniform_disk_2d", 2), DISK),
+    (MarginalSampler("uniform_ball_isotropic", 5), GAUSS),
+    (MarginalSampler("uniform_sphere_scaled", 6), GAUSS),
+    (MarginalSampler("standard_gaussian", 3), GAUSS),
+    (MarginalSampler("uniform_ball_isotropic", 16), GAUSS),  # points built by broadcast
+]
+_PARITY_NOISES = [
+    (surrogate, NoiseStrategy(kind, eta_bound=0.3, band=0.5, hash_seed=3))
+    for surrogate in ("ramp", "sigmoid")
+    for kind in ("none", "constant", "boundary_concentrated", "random_measurable")
+] + [("sigmoid", NoiseStrategy("strong_massart_max", c_strong=0.5))]
+
+
+def _parity_config(marginal, profile, surrogate, noise, seed):
+    angles = (0.0, math.pi / 4)
+    sigma = verify_lemma(surrogate, noise, profile, angles)[2]
+    return StructuralCheckConfig(
+        surrogate=SurrogateSpec(surrogate, sigma), noise=noise, marginal=marginal,
+        profile=profile, angles=angles, mc_samples=2, seed=seed,
+    )
+
+
+def _parity_target(dim):
+    z = np.random.default_rng(dim).standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+class TestChunkBits:
+    """verify._estimate_angle against its whole-array reference, bit for bit."""
+
+    @staticmethod
+    def _both(monkeypatch, cfg):
+        target = _parity_target(cfg.marginal.dim)
+        new = verify_stationary_gap(cfg, target)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod, "_estimate_angle", _reference_estimate_angle)
+            ref = verify_stationary_gap(cfg, target)
+        return _result_bits(new), _result_bits(ref)
+
+    @pytest.mark.parametrize("marginal, profile", _PARITY_MARGINALS,
+                             ids=[f"{m.kind}-{m.dim}" for m, _ in _PARITY_MARGINALS])
+    @pytest.mark.parametrize("surrogate, noise", _PARITY_NOISES, ids=[f"{s}-{n.kind}" for s, n in _PARITY_NOISES])
+    def test_two_chunks_match(self, monkeypatch, marginal, profile, surrogate, noise):
+        # two chunks per angle keep the case cheap; the chunk itself is the full _CHUNK
+        monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 1e6)
+        new, ref = self._both(monkeypatch, _parity_config(marginal, profile, surrogate, noise, 71))
+        assert new == ref
+        assert [r[5] for r in new] == [2 * verify_mod._CHUNK] * 2
+
+    def test_both_point_builds_covered(self):
+        dims = [m.dim for m, _ in _PARITY_MARGINALS]
+        assert min(dims) <= verify_mod._COLUMN_BUILD_DIM < max(dims)
+
+    def test_doubling_rounds_match(self, monkeypatch):
+        # a stderr target that two chunks miss: the sample doubles before it is met
+        monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 0.05)
+        cfg = _parity_config(*_PARITY_MARGINALS[0], "sigmoid", NoiseStrategy("constant", eta_bound=0.3), 72)
+        new, ref = self._both(monkeypatch, cfg)
+        assert new == ref
+        assert all(r[5] > 2 * verify_mod._CHUNK for r in new)
+
+
+def _forms(x):
+    """x as a Python float, a 0-d array and a 1-element array."""
+    return [float(x), np.array(float(x)), np.array([float(x)])]
+
+
+def _assert_same_bits(new, ref):
+    assert type(new) is type(ref)
+    assert np.shape(new) == np.shape(ref)
+    assert [a.hex() for a in np.ravel(new).tolist()] == [b.hex() for b in np.ravel(ref).tolist()]
+
+
+_PLANES = [plane_density(k, d) for k, d in (
+    ("uniform_disk_2d", 2), ("uniform_ball_isotropic", 5), ("uniform_sphere_scaled", 6),
+    ("uniform_sphere_scaled", 3), ("standard_gaussian", 3),
+)]
+
+
+def _plane_points(plane):
+    """0, +-0, the support's edge +-radius and its float neighbours, points
+    beyond it, and 500 random points, with +-inf and NaN."""
+    r = plane.radius or 4.0
+    edges = [r, math.nextafter(r, 0.0), math.nextafter(r, math.inf), 2.0 * r, 0.5 * r]
+    pts = [0.0, -0.0, math.inf, -math.inf, math.nan] + edges + [-e for e in edges]
+    return pts + np.random.default_rng(5).uniform(-1.2 * r, 1.2 * r, 500).tolist()
+
+
+class TestHelperBits:
+    """Each rewritten helper against its np.where form: same bits and types."""
+
+    def test_sign_of(self):
+        pts = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308]
+        pts += np.random.default_rng(1).standard_normal(200).tolist()
+        for x in pts:
+            for t in _forms(x):
+                _assert_same_bits(sign_of(t), _where_sign_of(t))
+        _assert_same_bits(sign_of(np.array(pts)), _where_sign_of(np.array(pts)))
+        for bad in (math.nan, math.inf, -math.inf):
+            for t in _forms(bad) + [np.array([1.0, bad])]:
+                with pytest.raises(ValueError, match="finite"):
+                    sign_of(t)
+
+    @pytest.mark.parametrize("plane", _PLANES, ids=lambda p: f"{p.kind}-{p.dim}")
+    def test_marginal_pdf(self, plane):
+        pts = _plane_points(plane)
+        for x in pts:
+            for t in _forms(x):
+                _assert_same_bits(plane.marginal_pdf(t), _where_marginal_pdf(plane, t))
+        _assert_same_bits(plane.marginal_pdf(np.array(pts)), _where_marginal_pdf(plane, np.array(pts)))
+
+    @pytest.mark.parametrize("plane", _PLANES, ids=lambda p: f"{p.kind}-{p.dim}")
+    def test_sample_signs(self, plane):
+        t = np.array([x for x in _plane_points(plane) if math.isfinite(x)])
+        for n in (0, 1, 2, 1000):
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            _assert_same_bits(plane.sample_marginal(n, a), _where_sample_marginal(plane, n, b))
+            assert a.bit_generator.state == b.bit_generator.state
+        for ts in (t[:0], t[:1], t):
+            a, b = np.random.default_rng(9), np.random.default_rng(9)
+            _assert_same_bits(plane.sample_conditional(ts, a), _where_sample_conditional(plane, ts, b))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["ramp", "sigmoid"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 0.7])
+    def test_surrogate_derivative(self, kind, sigma):
+        # the ramp's kinks at +-sigma/2 with their neighbours, and random points around them
+        spec, h = SurrogateSpec(kind, sigma), sigma / 2
+        pts = [0.0, -0.0, sigma, -sigma, 1000.0, -1000.0]
+        pts += [p for k in (h, -h) for p in (k, math.nextafter(k, 0.0), math.nextafter(k, 2 * k))]
+        pts += np.random.default_rng(2).uniform(-40.0 * sigma, 40.0 * sigma, 500).tolist()
+        for x in pts:
+            for t in _forms(x):
+                _assert_same_bits(surrogate_derivative(spec, t), _where_derivative(spec, t))
+        _assert_same_bits(surrogate_derivative(spec, np.array(pts)), _where_derivative(spec, np.array(pts)))
+
+    def test_boundary_rates(self):
+        band = 0.5
+        noise = NoiseStrategy("boundary_concentrated", eta_bound=0.3, band=band)
+        margins = [0.0, -0.0, band, -band, math.nextafter(band, 0.0), math.nextafter(band, 1.0),
+                   -math.nextafter(band, 1.0), 0.2, -3.0]
+        xs = np.array([[m, 7.0] for m in margins])
+        target = np.array([1.0, 0.0])
+        _assert_same_bits(noise_rates(noise, target, xs), _where_noise_rates(noise, target, xs))
