@@ -547,7 +547,9 @@ _RUNNERS = {"learn": _run_learn, "verify": _run_verify, "gradcheck": _run_gradch
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment config; returns the process exit code.
 
-    Trials execute sequentially, each from its own derived seeds, once the out directory is made.
+    Learn trials and verify checks execute one after another, each from its own derived seeds,
+    once the out directory is made. A verify check estimates its angles on threads
+    (`verify_stationary_gap`), with the outputs of one thread.
     """
     out = Path(config.values["out"])
     with _section("field out"):

@@ -36,17 +36,37 @@ the chunk means. The first round draws max(2, ceil(mc_samples / _CHUNK))
 chunks and each later round doubles the count, trimmed to MC_SAMPLE_CAP
 samples, until _MIN_CHUNKS chunks exist and the stderr is at most
 STDERR_FLOOR_FRACTION of the floor. Once no chunk fits under the cap, an
-UnderpoweredCheckError names the samples reached.
+UnderpoweredCheckError names the samples reached. It is raised at the end
+of an earlier round too if the stderr, carried to the cap at the round's
+spread of chunk means, would still be over _HOPELESS_RATIO times the
+target: the sample stderr overstates the true one by that factor with
+probability at most 1 / _HOPELESS_RATIO**2 (Markov's inequality on the
+sample variance), so such an angle would end underpowered anyway, after
+drawing up to the cap.
 
 Chunk cost. The output bits fix the order and size of every random draw:
 the band uniforms, the Laplace draws, the marginal's beta draws and sign
 uniforms, the stratum permutation and its uniforms. The rest runs in place
 in buffers made once per angle, and each in-place step keeps the
 association of the whole-array expression, so every output bit is kept.
+
+Threads. The angles of a check share nothing they write: each has its own
+generator, plane and buffers, and numpy and scipy release the GIL inside
+their array loops and generator fills. `verify_stationary_gap` estimates
+them on min(usable cores, angles) threads, fewer where the angles' point
+buffers would pass _THREAD_BUFFER_BYTES together, and reads the results
+in angle order, so the report, and the exception that escapes when angles
+raise, are those of a plain loop over the angles at any thread count.
+Each angle runs in a copy of the caller's context, so numpy's errstate
+reaches it. Once an angle raises, no further angle starts and the running
+ones stop at their next chunk.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +96,13 @@ MAX_MC_SAMPLES = MC_SAMPLE_CAP // _CHUNK * _CHUNK
 # over the d entries of a row, which is slow at small d; the column writes
 # land d floats apart, which is slow at large d.
 _COLUMN_BUILD_DIM = 10
+
+# An angle whose stderr would miss the target by more than this factor even
+# at the cap raises without drawing on (see "Sample size" in the module docstring).
+_HOPELESS_RATIO = 1000.0
+# The angle threads of a check together hold at most this many bytes of
+# (_CHUNK, d) point buffers, or one angle's where that alone is more.
+_THREAD_BUFFER_BYTES = 1 << 28
 
 # Share of the importance proposal drawn from the Laplace band at the margin.
 MIXTURE_WEIGHT = 0.9
@@ -200,7 +227,8 @@ def _estimate_angle(
     plane: PlaneDensity,
     floor: float,
     rng: np.random.Generator,
-) -> AngleGapResult:
+    stop: threading.Event,
+) -> AngleGapResult | None:
     dim = config.marginal.dim
     sigma = config.surrogate.sigma
     mix = MIXTURE_WEIGHT
@@ -232,6 +260,8 @@ def _estimate_angle(
     xs = np.empty((_CHUNK, dim))
     mask = np.empty(_CHUNK, dtype=bool)
     while True:
+        if stop.is_set():
+            return None  # the check has already raised; nothing reads this angle
         # m: a Laplace draw where uniform < mix, a marginal draw elsewhere
         np.less(rng.random(out=tmp), mix, out=mask)
         k = np.count_nonzero(mask)
@@ -300,7 +330,9 @@ def _estimate_angle(
         stderr = math.sqrt(max(sqs[0] - chunks * mean * mean, 0.0) / (chunks - 1) / chunks)
         if chunks >= _MIN_CHUNKS and stderr <= target_stderr:
             break
-        if n + _CHUNK > MC_SAMPLE_CAP:
+        # the stderr the cap would reach at this spread of chunk means
+        at_cap = stderr * math.sqrt(chunks / (MC_SAMPLE_CAP // _CHUNK))
+        if n + _CHUNK > MC_SAMPLE_CAP or at_cap > _HOPELESS_RATIO * target_stderr:
             raise UnderpoweredCheckError(
                 f"gradient-norm stderr {stderr:.3g} still above target "
                 f"{target_stderr:.3g} after {n} samples at theta={theta:.6g}"
@@ -327,6 +359,13 @@ def _estimate_angle(
     )
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> StructuralReport:
     """Test the gradient-norm floor at every configured angle from target.
 
@@ -334,6 +373,10 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
     2-d plane through the target, so no coordinate axis is privileged.
     Each angle is sized by the rule in the module docstring; an
     underpowered angle raises instead of returning a verdict.
+
+    The angles are estimated concurrently, on one thread per usable core
+    up to one per angle and within _THREAD_BUFFER_BYTES of point buffers;
+    see "Threads" in the module docstring.
     """
     target = require_unit(target, "target")
     if target.shape[0] != config.marginal.dim:
@@ -344,8 +387,26 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
     plane = plane_density(config.marginal.kind, config.marginal.dim)
     lemma, param, _ = verify_lemma(config.surrogate.kind, config.noise, config.profile, config.angles)
     floor = lemma_gradient_floor(lemma, config.profile, param)
-    results = []
-    for i, theta in enumerate(config.angles):
-        rng = make_rng(config.seed, STREAM_VERIFY, i)
-        results.append(_estimate_angle(config, target, theta, plane, floor, rng))
-    return StructuralReport(lemma_kind=lemma, floor=floor, results=tuple(results))
+    # imported here, as scipy is in plane_density: a learn run never pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    dim = config.marginal.dim
+    # xs, and above _COLUMN_BUILD_DIM the broadcast temporary that fills it
+    buffer_bytes = _CHUNK * dim * 8 * (1 if dim <= _COLUMN_BUILD_DIM else 2)
+    threads = min(_usable_cores(), len(config.angles), max(1, _THREAD_BUFFER_BYTES // buffer_bytes))
+    stop = threading.Event()
+    with ThreadPoolExecutor(threads) as pool:
+        try:
+            futures = [
+                # in a copy of the caller's context, which holds numpy's errstate
+                pool.submit(contextvars.copy_context().run, _estimate_angle, config, target, theta,
+                            plane, floor, make_rng(config.seed, STREAM_VERIFY, i), stop)
+                for i, theta in enumerate(config.angles)
+            ]
+            # in angle order, so the first angle that raises decides, as in a loop
+            results = tuple(future.result() for future in futures)
+        except BaseException:  # Ctrl-C included
+            pool.shutdown(wait=False, cancel_futures=True)  # no queued angle starts
+            stop.set()  # and the running ones return at their next chunk
+            raise
+    return StructuralReport(lemma_kind=lemma, floor=floor, results=results)

@@ -691,6 +691,62 @@ class TestRunLearn:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(EXIT_OK), "[]"]
 
+    # concurrent.futures, and the logging, queue and traceback it pulls in,
+    # serves only verify's angle threads, so no module of the package may
+    # import it at package import, at config load or in a learn run.
+    # scipy.special imports it itself (through numpy.testing), so a verify
+    # config's load may hold it; the hook below names each importer.
+    _WATCH_FUTURES = (
+        "import json, sys\n"
+        "importers = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'concurrent.futures':\n"
+        "            f = sys._getframe(1)\n"
+        "            while f.f_globals.get('__name__', '').startswith(('importlib', '_frozen_importlib')):\n"
+        "                f = f.f_back\n"
+        "            importers.append(f.f_globals['__name__'])\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "loaded = lambda: 'concurrent.futures' in sys.modules\n"
+    )
+
+    @staticmethod
+    def _fresh(code, *args):
+        package_root = str(Path(massart_halfspace.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("model", ["massart", "strong_massart"])
+    def test_learn_run_never_imports_concurrent_futures(self, tmp_path, model):
+        flat = _flat(LEARN_FLAT, tmp_path, **{"learn.model": model})
+        if model == "strong_massart":
+            del flat["noise.eta_bound"]
+            flat.update({"noise.kind": "strong_massart_max", "noise.c_strong": 0.5})
+        code = self._WATCH_FUTURES + (
+            "from massart_halfspace import harness\n"
+            "code = harness.run(harness.config_from_mapping(json.loads(sys.argv[1])))\n"
+            "print(json.dumps([code, loaded(), importers]))\n"
+        )
+        assert self._fresh(code, json.dumps(flat)) == [EXIT_OK, False, []]
+
+    @pytest.mark.parametrize("fixture", ["learn_massart_gaussian.cfg", "learn_strong_gaussian.cfg",
+                                         "verify_sigmoid_disk.cfg"])
+    def test_setup_never_imports_concurrent_futures(self, fixture):
+        # the benchmark's setup_s path: the package import, then the config load
+        code = self._WATCH_FUTURES + (
+            "import massart_halfspace\n"
+            "at_import = loaded()\n"
+            "massart_halfspace.harness.load_config(sys.argv[1])\n"
+            "print(json.dumps([at_import, loaded(), importers]))\n"
+        )
+        at_import, at_load, importers = self._fresh(code, str(FIXTURES / fixture))
+        assert not at_import
+        assert not any(name.split(".")[0] == "massart_halfspace" for name in importers)
+        if fixture.startswith("learn"):
+            assert not at_load
+
 
 # --------------------------------------------------------------------------
 # run(): verify

@@ -1,10 +1,15 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import special
 
 import massart_halfspace.verify as verify_mod
+from massart_halfspace import harness
 from massart_halfspace import (
     MarginalSampler,
     MassartOracle,
@@ -351,6 +356,7 @@ class TestEstimatorProperties:
     def test_underpowered_cap_raises(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "MC_SAMPLE_CAP", 4 * verify_mod._CHUNK)
         monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 1e-12)
+        monkeypatch.setattr(verify_mod, "_HOPELESS_RATIO", math.inf)  # run on to the cap
         cfg = _disk_config(
             NoiseStrategy(kind="constant", eta_bound=0.3),
             SurrogateSpec("sigmoid", SIGMOID_CAP_PI8),
@@ -365,6 +371,7 @@ class TestEstimatorProperties:
         chunk = verify_mod._CHUNK
         monkeypatch.setattr(verify_mod, "MC_SAMPLE_CAP", 5 * chunk + 1)
         monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 1e-12)
+        monkeypatch.setattr(verify_mod, "_HOPELESS_RATIO", math.inf)  # run on to the cap
         cfg = _disk_config(
             NoiseStrategy(kind="constant", eta_bound=0.3),
             SurrogateSpec("sigmoid", SIGMOID_CAP_PI8),
@@ -372,6 +379,32 @@ class TestEstimatorProperties:
             seed=323,
         )
         with pytest.raises(UnderpoweredCheckError, match=f"after {5 * chunk} samples"):
+            verify_stationary_gap(cfg, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("ratio, samples", [(1000.0, 2), (None, 4)])
+    def test_an_unreachable_target_raises_before_the_cap(self, monkeypatch, ratio, samples):
+        # the first round's stderr, carried to the cap of 4 chunks, is over
+        # 1000 times the target: it raises after that round, not at the cap;
+        # with the ratio just above the carried stderr, it runs on to the cap
+        chunk = verify_mod._CHUNK
+        monkeypatch.setattr(verify_mod, "MC_SAMPLE_CAP", 4 * chunk)
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 1e-12)
+        cfg = _disk_config(
+            NoiseStrategy(kind="constant", eta_bound=0.3),
+            SurrogateSpec("sigmoid", SIGMOID_CAP_PI8),
+            angles=(math.pi / 4,),
+            seed=323,
+        )
+        if ratio is None:
+            with monkeypatch.context() as patch:
+                patch.setattr(verify_mod, "MC_SAMPLE_CAP", 2 * chunk)
+                with pytest.raises(UnderpoweredCheckError, match="after") as err:
+                    verify_stationary_gap(cfg, np.array([1.0, 0.0]))
+            # "gradient-norm stderr S still above target T after ..."
+            stderr, target = (float(x) for x in err.value.args[0].split()[2:7:4])
+            ratio = 1.05 * stderr * math.sqrt(2 / 4) / target
+        monkeypatch.setattr(verify_mod, "_HOPELESS_RATIO", ratio)
+        with pytest.raises(UnderpoweredCheckError, match=f"after {samples * chunk} samples"):
             verify_stationary_gap(cfg, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("mc_chunks, fraction", [(1, 1e6), (3, 1e6), (5, 1e6), (20, 1e6), (3, 0.02)])
@@ -467,9 +500,10 @@ def _where_noise_rates(strategy, target, xs):
     return noise_rates(strategy, target, xs)
 
 
-def _reference_estimate_angle(config, target, theta, plane, floor, rng):
+def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
     """verify._estimate_angle in its whole-array form, over the helper forms above.
-    It reads the module's constants at call time, so a monkeypatch reaches both."""
+    It reads the module's constants at call time, so a monkeypatch reaches both.
+    No parity case raises, so it never reads the stop flag."""
     vm = verify_mod
     dim = config.marginal.dim
     sigma = config.surrogate.sigma
@@ -521,7 +555,8 @@ def _reference_estimate_angle(config, target, theta, plane, floor, rng):
         stderr = math.sqrt(max(sqs[0] - chunks * mean * mean, 0.0) / (chunks - 1) / chunks)
         if chunks >= vm._MIN_CHUNKS and stderr <= target_stderr:
             break
-        if n + vm._CHUNK > vm.MC_SAMPLE_CAP:
+        at_cap = stderr * math.sqrt(chunks / (vm.MC_SAMPLE_CAP // vm._CHUNK))
+        if n + vm._CHUNK > vm.MC_SAMPLE_CAP or at_cap > vm._HOPELESS_RATIO * target_stderr:
             raise UnderpoweredCheckError(f"stderr {stderr!r} after {n} samples")
         want += min(chunks, (vm.MC_SAMPLE_CAP - n) // vm._CHUNK)
     estimate = abs(mean)
@@ -688,3 +723,177 @@ class TestHelperBits:
         xs = np.array([[m, 7.0] for m in margins])
         target = np.array([1.0, 0.0])
         _assert_same_bits(noise_rates(noise, target, xs), _where_noise_rates(noise, target, xs))
+
+
+# ---------------------------------------------------------------------------
+# Threads. verify_stationary_gap estimates a check's angles on a thread pool
+# and reads the results in angle order; the thread count must change no bit
+# and no outcome.
+
+
+def _threaded_config(cfg):
+    """cfg with four angles, so three threads differ from two. pi/4 stays the
+    tightest window edge, so cfg's sigma still respects the cap."""
+    return dataclasses.replace(cfg, angles=(0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4))
+
+
+class TestAngleThreads:
+    @staticmethod
+    def _at(monkeypatch, threads, cfg, target):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod, "_usable_cores", lambda: threads)
+            return verify_stationary_gap(cfg, target)
+
+    @pytest.mark.parametrize("marginal, profile", _PARITY_MARGINALS,
+                             ids=[f"{m.kind}-{m.dim}" for m, _ in _PARITY_MARGINALS])
+    @pytest.mark.parametrize("surrogate, noise", _PARITY_NOISES, ids=[f"{s}-{n.kind}" for s, n in _PARITY_NOISES])
+    def test_thread_count_changes_no_bit(self, monkeypatch, marginal, profile, surrogate, noise):
+        monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 1e6)
+        cfg = _threaded_config(_parity_config(marginal, profile, surrogate, noise, 71))
+        target = _parity_target(marginal.dim)
+        one, two, three = (_result_bits(self._at(monkeypatch, n, cfg, target)) for n in (1, 2, 3))
+        assert one == two == three
+        assert len(one) == 4
+
+    def test_thread_count_changes_no_bit_when_rounds_double(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 0.05)
+        cfg = _threaded_config(
+            _parity_config(*_PARITY_MARGINALS[0], "sigmoid", NoiseStrategy("constant", eta_bound=0.3), 72))
+        target = _parity_target(2)
+        one, two, three = (_result_bits(self._at(monkeypatch, n, cfg, target)) for n in (1, 2, 3))
+        assert one == two == three
+        assert any(r[5] > 2 * verify_mod._CHUNK for r in one)  # angles of unequal length
+
+    def test_more_threads_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # eight angles on eight threads, switching every 10 us: each angle's
+        # generator and buffers must stay its own, and the check must end
+        monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
+        monkeypatch.setattr(verify_mod, "STDERR_FLOOR_FRACTION", 1e6)
+        cfg = _disk_config(NoiseStrategy("random_measurable", eta_bound=0.3, hash_seed=3),
+                           SurrogateSpec("sigmoid", 0.004), tuple(0.4 + 0.3 * i for i in range(8)))
+        target = np.array([1.0, 0.0])
+        one = _result_bits(self._at(monkeypatch, 1, cfg, target))
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(
+                target=lambda: reports.append(self._at(monkeypatch, 8, cfg, target)), daemon=True)
+            thread.start()
+            thread.join(60.0)
+            assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert _result_bits(reports[0]) == one
+
+    @staticmethod
+    def _raising(first, later, angles):
+        """An _estimate_angle that raises `first` at angle 1 only after raising
+        `later` at angle 3, so the later angle's error comes first in time."""
+        later_raised = threading.Event()
+
+        def fake(config, target, theta, plane, floor, rng, stop):
+            i = angles.index(theta)
+            if i == 1:
+                later_raised.wait(10.0)
+                raise first("angle 1")
+            if i == 3:
+                later_raised.set()
+                raise later("angle 3")
+            return None
+
+        return fake
+
+    @pytest.mark.parametrize("first, later", [(UnderpoweredCheckError, ValueError),
+                                              (ValueError, UnderpoweredCheckError)])
+    def test_first_raise_in_angle_order_decides(self, monkeypatch, first, later):
+        angles = (0.4, 0.7, 1.0, 1.3, 1.6)
+        cfg = _disk_config(NoiseStrategy("constant", eta_bound=0.3), SurrogateSpec("sigmoid", 0.004), angles)
+        target = np.array([1.0, 0.0])
+        monkeypatch.setattr(verify_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(verify_mod, "_estimate_angle", self._raising(first, later, angles))
+        with pytest.raises(first, match="angle 1"):
+            verify_stationary_gap(cfg, target)
+        monkeypatch.setattr(verify_mod, "_estimate_angle", self._raising(first, later, angles))
+        if first is UnderpoweredCheckError:
+            rows = harness._verify_check(cfg, target)
+            assert [row[-1] for row in rows] == ["abort:UnderpoweredCheckError"]
+        else:  # a fault before an abort is a fault, not an abort row
+            with pytest.raises(ValueError, match="angle 1"):
+                harness._verify_check(cfg, target)
+
+    def test_an_abort_starts_no_further_angle_and_stops_the_running_ones(self, monkeypatch):
+        angles = tuple(0.1 + 0.1 * i for i in range(20))
+        cfg = _disk_config(NoiseStrategy("constant", eta_bound=0.3), SurrogateSpec("sigmoid", 0.001), angles)
+        started, stopped = [], []
+        second_running = threading.Event()
+
+        def fake(config, target, theta, plane, floor, rng, stop):
+            i = angles.index(theta)
+            started.append(i)
+            if i == 0:  # raise while the other thread holds an angle
+                second_running.wait(10.0)
+                raise UnderpoweredCheckError("angle 0")
+            second_running.set()
+            for _ in range(10_000):  # chunks of 1 ms, each reading the stop flag first
+                if stop.is_set():
+                    stopped.append(True)
+                    return None
+                time.sleep(0.001)
+            stopped.append(False)
+            return None
+
+        monkeypatch.setattr(verify_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(verify_mod, "_estimate_angle", fake)
+        with pytest.raises(UnderpoweredCheckError, match="angle 0"):
+            verify_stationary_gap(cfg, np.array([1.0, 0.0]))
+        assert 0 in started and len(started) <= 4
+        assert stopped and all(stopped)
+
+    def test_the_callers_numpy_errstate_reaches_every_angle(self, monkeypatch):
+        # numpy keeps its errstate in a context variable, which a new thread does not inherit
+        cfg = _disk_config(NoiseStrategy("constant", eta_bound=0.3), SurrogateSpec("sigmoid", 0.004),
+                           (0.4, 0.7, 1.0))
+        monkeypatch.setattr(verify_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(verify_mod, "_estimate_angle", lambda *args: np.geterr()["under"])
+        with np.errstate(under="raise"):
+            report = verify_stationary_gap(cfg, np.array([1.0, 0.0]))
+        assert report.results == ("raise",) * 3
+
+    def test_a_stopped_angle_returns_before_its_first_chunk(self, monkeypatch):
+        cfg = _disk_config(NoiseStrategy("constant", eta_bound=0.3), SurrogateSpec("sigmoid", 0.004), (0.7,))
+        plane = plane_density("uniform_disk_2d", 2)
+        stop = threading.Event()
+        stop.set()
+        calls = []
+        monkeypatch.setattr(verify_mod, "surrogate_derivative", lambda *a: calls.append(a))
+        assert verify_mod._estimate_angle(cfg, np.array([1.0, 0.0]), 0.7, plane, 0.1,
+                                          np.random.default_rng(0), stop) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("dim, threads", [(2, 8), (10, 8), (100, 8), (500, 2), (1000, 1)])
+    def test_the_pool_holds_its_point_buffers_within_the_budget(self, monkeypatch, dim, threads):
+        # each angle holds xs, and above _COLUMN_BUILD_DIM one temporary of its size
+        import concurrent.futures
+
+        pools = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        cfg = StructuralCheckConfig(
+            surrogate=SurrogateSpec("sigmoid", 1e-3), noise=NoiseStrategy("constant", eta_bound=0.3),
+            marginal=MarginalSampler("uniform_ball_isotropic", dim), profile=disk_profile(),
+            angles=tuple(0.4 + 0.1 * i for i in range(10)),
+        )
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(verify_mod, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(verify_mod, "_estimate_angle", lambda *args: None)
+        verify_stationary_gap(cfg, np.eye(dim)[0])
+        assert pools == [threads]
+        per_angle = verify_mod._CHUNK * dim * 8 * (1 if dim <= verify_mod._COLUMN_BUILD_DIM else 2)
+        assert threads * per_angle <= max(verify_mod._THREAD_BUFFER_BYTES, per_angle)
