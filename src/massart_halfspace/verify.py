@@ -44,14 +44,14 @@ probability at most 1 / _HOPELESS_RATIO**2 (Markov's inequality on the
 sample variance), so such an angle would end underpowered anyway, after
 drawing up to the cap.
 
-Chunk cost. The output bits fix the order and size of every random draw:
-the band uniforms, the Laplace draws, the marginal's beta draws and sign
-uniforms, the stratum permutation and its uniforms. The rest runs in place
-in buffers made once per angle, and each in-place step keeps the
-association of the whole-array expression, so every output bit is kept.
+Chunk cost. The output bits are fixed by the order and size of every
+random draw (the band uniforms, the Laplace draws, the marginal's beta
+draws and sign uniforms, the stratum permutation and its uniforms) and by
+the association of each whole-array expression a chunk evaluates; the
+point build keeps the association of m * w_hat + u * b1 in every entry.
 
 Threads. The angles of a check share nothing they write: each has its own
-generator, plane and buffers, and numpy and scipy release the GIL inside
+generator, plane and point buffer, and numpy and scipy release the GIL inside
 their array loops and generator fills. `verify_stationary_gap` estimates
 them on min(usable cores, angles) threads, fewer where the angles' point
 buffers would pass _THREAD_BUFFER_BYTES together, and reads the results
@@ -94,8 +94,10 @@ MAX_MC_SAMPLES = MC_SAMPLE_CAP // _CHUNK * _CHUNK
 # Up to this dimension a chunk fills its embedded points one column at a
 # time, above it by one broadcast per term. The broadcast's inner loop runs
 # over the d entries of a row, which is slow at small d; the column writes
-# land d floats apart, which is slow at large d.
+# land d floats apart, which is slow at large d. The broadcast fills
+# _ROW_BLOCK rows at a time, so its temporary is not another (_CHUNK, d).
 _COLUMN_BUILD_DIM = 10
+_ROW_BLOCK = 1024
 
 # An angle whose stderr would miss the target by more than this factor even
 # at the cap raises without drawing on (see "Sample size" in the module docstring).
@@ -254,70 +256,45 @@ def _estimate_angle(
     sums, sqs = np.zeros(3), np.zeros(3)
     chunks, want = 0, max(2, math.ceil(config.mc_samples / _CHUNK))
     target_stderr = floor * STDERR_FLOOR_FRACTION
-    # Buffers for every chunk of this angle. Each in-place step below keeps
-    # the association of the whole-array expression in its comment.
-    m, weight, v, margin, tmp, good, bad = (np.empty(_CHUNK) for _ in range(7))
-    xs = np.empty((_CHUNK, dim))
-    mask = np.empty(_CHUNK, dtype=bool)
+    xs = np.empty((_CHUNK, dim))  # the points of every chunk of this angle
     while True:
         if stop.is_set():
             return None  # the check has already raised; nothing reads this angle
         # m: a Laplace draw where uniform < mix, a marginal draw elsewhere
-        np.less(rng.random(out=tmp), mix, out=mask)
-        k = np.count_nonzero(mask)
-        m[mask] = rng.laplace(0.0, lap_scale, k)
-        m[np.logical_not(mask, out=mask)] = plane.sample_marginal(_CHUNK - k, rng)
+        from_band = rng.random(_CHUNK) < mix
+        k = np.count_nonzero(from_band)
+        m = np.empty(_CHUNK)
+        m[from_band] = rng.laplace(0.0, lap_scale, k)
+        m[~from_band] = plane.sample_marginal(_CHUNK - k, rng)
         marg = plane.marginal_pdf(m)
-        # weight = marg / (mix * laplace_pdf + (1 - mix) * marg),
-        # laplace_pdf = exp(-|m| / lap_scale) / (2 lap_scale)
-        np.negative(np.abs(m, out=weight), out=weight)
-        weight /= lap_scale
-        np.exp(weight, out=weight)
-        weight /= 2.0 * lap_scale
-        weight *= mix
-        weight += np.multiply(marg, 1.0 - mix, out=tmp)
-        np.divide(marg, weight, out=weight)
+        laplace_pdf = np.exp(-np.abs(m) / lap_scale) / (2.0 * lap_scale)
+        weight = marg / (mix * laplace_pdf + (1.0 - mix) * marg)
         # Stratified conditional coordinate: one uniform per equal-mass
         # stratum, shuffled against the m draws, pushed through the
         # conditional quantile function.
-        # v = (permutation + uniform) / _CHUNK
-        perm = rng.permutation(_CHUNK)
-        rng.random(out=v)
-        v += perm
-        v /= _CHUNK
+        v = (rng.permutation(_CHUNK) + rng.random(_CHUNK)) / _CHUNK
         np.clip(v, 1e-12, 1.0 - 1e-12, out=v)
-        # u = the quantile where marg > 0, else 0
         u = plane.conditional_inverse_cdf(m, v)
-        u[np.logical_not(np.greater(marg, 0.0, out=mask), out=mask)] = 0.0
-        # s = sign(cos_t * m + sin_t * u)
-        np.multiply(m, cos_t, out=margin)
-        margin += np.multiply(u, sin_t, out=tmp)
-        s = sign_of(margin)
+        u[~(marg > 0.0)] = 0.0
+        s = sign_of(cos_t * m + sin_t * u)
         # xs = m[:, None] * w_hat + u[:, None] * b1
         if dim <= _COLUMN_BUILD_DIM:
             for j in range(dim):
-                col = xs[:, j]
-                np.multiply(m, w_hat[j], out=col)
-                col += np.multiply(u, b1[j], out=tmp)
+                np.multiply(m, w_hat[j], out=xs[:, j])
+                xs[:, j] += u * b1[j]
         else:
-            np.multiply(m[:, None], w_hat, out=xs)
-            xs += u[:, None] * b1
-        # contrib = -(1 - 2 rates) * s * D(m) * u * weight, left to right
-        contrib = noise_rates(config.noise, target, xs)
-        contrib *= 2.0
-        np.subtract(1.0, contrib, out=contrib)
-        np.negative(contrib, out=contrib)
-        contrib *= s
-        contrib *= surrogate_derivative(config.surrogate, m)
-        contrib *= u
-        contrib *= weight
-        # good = -contrib where u * s > 0, bad = contrib elsewhere. The mask
-        # product leaves some zeros as -0.0, which changes no sum; a
-        # non-finite contrib makes the stderr NaN and the angle underpowered
-        # whatever good and bad hold.
-        np.greater(np.multiply(u, s, out=tmp), 0.0, out=mask)
-        np.multiply(np.negative(contrib, out=good), mask, out=good)
-        np.multiply(contrib, np.logical_not(mask, out=mask), out=bad)
+            for lo in range(0, _CHUNK, _ROW_BLOCK):
+                hi = lo + _ROW_BLOCK
+                np.multiply(m[lo:hi, None], w_hat, out=xs[lo:hi])
+                xs[lo:hi] += u[lo:hi, None] * b1
+        contrib = (-(1.0 - 2.0 * noise_rates(config.noise, target, xs)) * s
+                   * surrogate_derivative(config.surrogate, m) * u * weight)
+        # good = -contrib where u * s > 0, bad = contrib elsewhere. Zeros of -0.0
+        # change no sum; a non-finite contrib makes the stderr NaN and the angle
+        # underpowered whatever good and bad hold.
+        in_good = u * s > 0.0
+        good = -contrib * in_good
+        bad = contrib * ~in_good
         chunks += 1
         for i, arr in enumerate((contrib, good, bad)):
             mi = float(arr.sum()) / _CHUNK  # arr.mean(), without its Python overhead
@@ -346,17 +323,8 @@ def _estimate_angle(
         verdict = "pass" if estimate <= config.confidence_sigmas * stderr else "fail"
     else:
         verdict = "pass" if estimate >= floor - config.confidence_sigmas * stderr else "fail"
-    return AngleGapResult(
-        theta=theta,
-        sigma=sigma,
-        floor=floor,
-        estimate=estimate,
-        stderr=stderr,
-        samples=n,
-        verdict=verdict,
-        good_mass=sums[1] / chunks,
-        bad_mass=sums[2] / chunks,
-    )
+    return AngleGapResult(theta=theta, sigma=sigma, floor=floor, estimate=estimate, stderr=stderr,
+                          samples=n, verdict=verdict, good_mass=sums[1] / chunks, bad_mass=sums[2] / chunks)
 
 
 def _usable_cores() -> int:
@@ -390,9 +358,7 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
     # imported here, as scipy is in plane_density: a learn run never pays for it
     from concurrent.futures import ThreadPoolExecutor
 
-    dim = config.marginal.dim
-    # xs, and above _COLUMN_BUILD_DIM the broadcast temporary that fills it
-    buffer_bytes = _CHUNK * dim * 8 * (1 if dim <= _COLUMN_BUILD_DIM else 2)
+    buffer_bytes = _CHUNK * config.marginal.dim * 8  # one angle's xs
     threads = min(_usable_cores(), len(config.angles), max(1, _THREAD_BUFFER_BYTES // buffer_bytes))
     stop = threading.Event()
     with ThreadPoolExecutor(threads) as pool:

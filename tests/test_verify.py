@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from massart_halfspace import (
     verify_lemma,
     verify_stationary_gap,
 )
+from massart_halfspace.distributions import PlaneDensity
 from massart_halfspace.geometry import sign_of
 from massart_halfspace.noise import noise_rates
 from massart_halfspace.surrogate import surrogate_derivative
@@ -436,10 +439,12 @@ class TestEstimatorProperties:
 
 
 # ---------------------------------------------------------------------------
-# Bit parity. The verify chunk and the helpers it calls compute in place and
-# without scalar-operand np.where. The whole-array forms below are what they
-# replaced; on one machine both must give the same bits. numpy picks its SIMD
-# loops by CPU, so the comparison runs in one process, not against stored bytes.
+# Bit parity. The helpers the verify chunk calls compute without
+# scalar-operand np.where; the np.where forms below are what they replaced.
+# The reference chunk differs from verify's only in calling those forms and in
+# building its points with one broadcast. On one machine both must give the
+# same bits. numpy picks its SIMD loops by CPU, so the comparison runs in one
+# process, not against stored bytes.
 
 
 def _where_sign_of(t):
@@ -501,9 +506,10 @@ def _where_noise_rates(strategy, target, xs):
 
 
 def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
-    """verify._estimate_angle in its whole-array form, over the helper forms above.
-    It reads the module's constants at call time, so a monkeypatch reaches both.
-    No parity case raises, so it never reads the stop flag."""
+    """verify._estimate_angle over the np.where helper forms above, with its
+    points built by one (_CHUNK, d) broadcast rather than by columns or row
+    blocks. It reads the module's constants at call time, so a monkeypatch
+    reaches both. No parity case raises, so it never reads the stop flag."""
     vm = verify_mod
     dim = config.marginal.dim
     sigma = config.surrogate.sigma
@@ -639,6 +645,68 @@ class TestChunkBits:
         new, ref = self._both(monkeypatch, cfg)
         assert new == ref
         assert all(r[5] > 2 * verify_mod._CHUNK for r in new)
+
+
+class TestChunkWork:
+    """What one chunk holds and which traced names it calls."""
+
+    @pytest.mark.parametrize("kind, dim", [("uniform_disk_2d", 2), ("uniform_ball_isotropic", 16)])
+    def test_one_chunk_reaches_each_traced_name_once(self, monkeypatch, kind, dim):
+        # the benchmark's traced layers wrap these names; a chunk that bypasses one reads 0 there
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((verify_mod, "noise_rates"), (verify_mod, "surrogate_derivative"),
+                            (PlaneDensity, "sample_marginal"), (PlaneDensity, "conditional_inverse_cdf")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+
+        class AfterOneChunk:  # a stop flag that is set once the first chunk is done
+            reads = 0
+
+            def is_set(self):
+                self.reads += 1
+                return self.reads > 1
+
+        cfg = StructuralCheckConfig(
+            surrogate=SurrogateSpec("sigmoid", 1e-3), noise=NoiseStrategy("constant", eta_bound=0.3),
+            marginal=MarginalSampler(kind, dim), profile=disk_profile(), angles=(0.7,),
+        )
+        assert verify_mod._estimate_angle(cfg, np.eye(dim)[0], 0.7, plane_density(kind, dim), 1.0,
+                                          np.random.default_rng(0), AfterOneChunk()) is None
+        assert calls == {"noise_rates": 1, "surrogate_derivative": 1,
+                         "sample_marginal": 1, "conditional_inverse_cdf": 1}
+
+    def test_an_angle_holds_one_point_buffer(self, monkeypatch):
+        # numpy reports its allocations to tracemalloc. Above _COLUMN_BUILD_DIM the
+        # points are built in row blocks, so no second (_CHUNK, d) array joins xs.
+        dim = 64
+        assert dim > verify_mod._COLUMN_BUILD_DIM
+        monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
+        cfg = StructuralCheckConfig(
+            surrogate=SurrogateSpec("sigmoid", 1e-3), noise=NoiseStrategy("constant", eta_bound=0.3),
+            marginal=MarginalSampler("uniform_ball_isotropic", dim), profile=disk_profile(),
+            angles=(0.7,), mc_samples=2,
+        )
+        plane = plane_density("uniform_ball_isotropic", dim)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            # a floor of 1e6 puts the stderr target far above any two-chunk stderr
+            res = verify_mod._estimate_angle(cfg, np.eye(dim)[0], 0.7, plane, 1e6,
+                                             np.random.default_rng(0), threading.Event())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert res.samples == 2 * verify_mod._CHUNK
+        assert peak < 1.5 * verify_mod._CHUNK * dim * 8
 
 
 def _forms(x):
@@ -873,9 +941,9 @@ class TestAngleThreads:
                                           np.random.default_rng(0), stop) is None
         assert calls == []
 
-    @pytest.mark.parametrize("dim, threads", [(2, 8), (10, 8), (100, 8), (500, 2), (1000, 1)])
+    @pytest.mark.parametrize("dim, threads", [(2, 8), (10, 8), (100, 8), (500, 4), (1000, 2)])
     def test_the_pool_holds_its_point_buffers_within_the_budget(self, monkeypatch, dim, threads):
-        # each angle holds xs, and above _COLUMN_BUILD_DIM one temporary of its size
+        # each angle holds one (_CHUNK, d) point buffer, xs (TestChunkWork)
         import concurrent.futures
 
         pools = []
@@ -895,5 +963,5 @@ class TestAngleThreads:
         monkeypatch.setattr(verify_mod, "_estimate_angle", lambda *args: None)
         verify_stationary_gap(cfg, np.eye(dim)[0])
         assert pools == [threads]
-        per_angle = verify_mod._CHUNK * dim * 8 * (1 if dim <= verify_mod._COLUMN_BUILD_DIM else 2)
+        per_angle = verify_mod._CHUNK * dim * 8
         assert threads * per_angle <= max(verify_mod._THREAD_BUFFER_BYTES, per_angle)
