@@ -49,6 +49,9 @@ random draw (the band uniforms, the Laplace draws, the marginal's beta
 draws and sign uniforms, the stratum permutation and its uniforms) and by
 the association of each whole-array expression a chunk evaluates; the
 point build keeps the association of m * w_hat + u * b1 in every entry.
+An angle's points sit in one C-order (d, _CHUNK) buffer, filled by
+coordinate rows; noise_rates reads its transpose, so from d = 3 the margin
+kinds' xs @ target, and the rates made from it, round by that layout.
 
 Threads. The angles of a check share nothing they write: each has its own
 generator, plane and point buffer, and numpy and scipy release the GIL inside
@@ -91,19 +94,11 @@ _MIN_CHUNKS = 16  # the stderr over fewer chunk means is not trusted
 # The first round draws ceil(mc_samples / _CHUNK) whole chunks, so a larger
 # mc_samples would pass MC_SAMPLE_CAP before the cap is first checked.
 MAX_MC_SAMPLES = MC_SAMPLE_CAP // _CHUNK * _CHUNK
-# Up to this dimension a chunk fills its embedded points one column at a
-# time, above it by one broadcast per term. The broadcast's inner loop runs
-# over the d entries of a row, which is slow at small d; the column writes
-# land d floats apart, which is slow at large d. The broadcast fills
-# _ROW_BLOCK rows at a time, so its temporary is not another (_CHUNK, d).
-_COLUMN_BUILD_DIM = 10
-_ROW_BLOCK = 1024
-
 # An angle whose stderr would miss the target by more than this factor even
 # at the cap raises without drawing on (see "Sample size" in the module docstring).
 _HOPELESS_RATIO = 1000.0
 # The angle threads of a check together hold at most this many bytes of
-# (_CHUNK, d) point buffers, or one angle's where that alone is more.
+# (d, _CHUNK) point buffers, or one angle's where that alone is more.
 _THREAD_BUFFER_BYTES = 1 << 28
 
 # Share of the importance proposal drawn from the Laplace band at the margin.
@@ -256,7 +251,7 @@ def _estimate_angle(
     sums, sqs = np.zeros(3), np.zeros(3)
     chunks, want = 0, max(2, math.ceil(config.mc_samples / _CHUNK))
     target_stderr = floor * STDERR_FLOOR_FRACTION
-    xs = np.empty((_CHUNK, dim))  # the points of every chunk of this angle
+    xs = np.empty((dim, _CHUNK))  # the points of every chunk of this angle, one per column
     while True:
         if stop.is_set():
             return None  # the check has already raised; nothing reads this angle
@@ -277,17 +272,10 @@ def _estimate_angle(
         u = plane.conditional_inverse_cdf(m, v)
         u[~(marg > 0.0)] = 0.0
         s = sign_of(cos_t * m + sin_t * u)
-        # xs = m[:, None] * w_hat + u[:, None] * b1
-        if dim <= _COLUMN_BUILD_DIM:
-            for j in range(dim):
-                np.multiply(m, w_hat[j], out=xs[:, j])
-                xs[:, j] += u * b1[j]
-        else:
-            for lo in range(0, _CHUNK, _ROW_BLOCK):
-                hi = lo + _ROW_BLOCK
-                np.multiply(m[lo:hi, None], w_hat, out=xs[lo:hi])
-                xs[lo:hi] += u[lo:hi, None] * b1
-        contrib = (-(1.0 - 2.0 * noise_rates(config.noise, target, xs)) * s
+        for j in range(dim):  # xs.T = m[:, None] * w_hat + u[:, None] * b1
+            np.multiply(m, w_hat[j], out=xs[j])
+            xs[j] += u * b1[j]
+        contrib = (-(1.0 - 2.0 * noise_rates(config.noise, target, xs.T)) * s
                    * surrogate_derivative(config.surrogate, m) * u * weight)
         # good = -contrib where u * s > 0, bad = contrib elsewhere. Zeros of -0.0
         # change no sum; a non-finite contrib makes the stderr NaN and the angle

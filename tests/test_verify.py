@@ -442,9 +442,10 @@ class TestEstimatorProperties:
 # Bit parity. The helpers the verify chunk calls compute without
 # scalar-operand np.where; the np.where forms below are what they replaced.
 # The reference chunk differs from verify's only in calling those forms and in
-# building its points with one broadcast. On one machine both must give the
-# same bits. numpy picks its SIMD loops by CPU, so the comparison runs in one
-# process, not against stored bytes.
+# building its points with one broadcast, which it stores in verify's
+# (d, _CHUNK) layout: the margin product rounds by layout from d = 3. On one
+# machine both must give the same bits. numpy picks its SIMD loops by CPU, so
+# the comparison runs in one process, not against stored bytes.
 
 
 def _where_sign_of(t):
@@ -507,9 +508,10 @@ def _where_noise_rates(strategy, target, xs):
 
 def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
     """verify._estimate_angle over the np.where helper forms above, with its
-    points built by one (_CHUNK, d) broadcast rather than by columns or row
-    blocks. It reads the module's constants at call time, so a monkeypatch
-    reaches both. No parity case raises, so it never reads the stop flag."""
+    points built by one (_CHUNK, d) broadcast rather than row by row, then
+    laid out as verify's (d, _CHUNK) buffer and read through its transpose.
+    It reads the module's constants at call time, so a monkeypatch reaches
+    both. No parity case raises, so it never reads the stop flag."""
     vm = verify_mod
     dim = config.marginal.dim
     sigma = config.surrogate.sigma
@@ -542,7 +544,7 @@ def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
         u = np.where(marg > 0.0, plane.conditional_inverse_cdf(m, v), 0.0)
         target_margin = cos_t * m + sin_t * u
         s = _where_sign_of(target_margin)
-        xs = m[:, None] * w_hat + u[:, None] * b1
+        xs = np.ascontiguousarray((m[:, None] * w_hat + u[:, None] * b1).T).T
         rates = _where_noise_rates(config.noise, target, xs)
         f = -(1.0 - 2.0 * rates) * s * _where_derivative(config.surrogate, m) * u
         contrib = f * weight
@@ -587,7 +589,7 @@ _PARITY_MARGINALS = [
     (MarginalSampler("uniform_ball_isotropic", 5), GAUSS),
     (MarginalSampler("uniform_sphere_scaled", 6), GAUSS),
     (MarginalSampler("standard_gaussian", 3), GAUSS),
-    (MarginalSampler("uniform_ball_isotropic", 16), GAUSS),  # points built by broadcast
+    (MarginalSampler("uniform_ball_isotropic", 16), GAUSS),  # the hash and the margin product read 16 rows
 ]
 _PARITY_NOISES = [
     (surrogate, NoiseStrategy(kind, eta_bound=0.3, band=0.5, hash_seed=3))
@@ -633,10 +635,6 @@ class TestChunkBits:
         assert new == ref
         assert [r[5] for r in new] == [2 * verify_mod._CHUNK] * 2
 
-    def test_both_point_builds_covered(self):
-        dims = [m.dim for m, _ in _PARITY_MARGINALS]
-        assert min(dims) <= verify_mod._COLUMN_BUILD_DIM < max(dims)
-
     def test_doubling_rounds_match(self, monkeypatch):
         # a stderr target that two chunks miss: the sample doubles before it is met
         monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
@@ -681,14 +679,17 @@ class TestChunkWork:
         assert calls == {"noise_rates": 1, "surrogate_derivative": 1,
                          "sample_marginal": 1, "conditional_inverse_cdf": 1}
 
-    def test_an_angle_holds_one_point_buffer(self, monkeypatch):
-        # numpy reports its allocations to tracemalloc. Above _COLUMN_BUILD_DIM the
-        # points are built in row blocks, so no second (_CHUNK, d) array joins xs.
+    @pytest.mark.parametrize("kind", ["constant", "random_measurable", "boundary_concentrated",
+                                      "strong_massart_max"])
+    def test_an_angle_holds_one_point_buffer(self, monkeypatch, kind):
+        # numpy reports its allocations to tracemalloc. The points are built row by
+        # row, and the hash and the margin product read their transposed view in
+        # place, so no second point-sized array joins xs.
         dim = 64
-        assert dim > verify_mod._COLUMN_BUILD_DIM
         monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
+        noise = NoiseStrategy(kind, eta_bound=0.3, c_strong=0.5, band=0.5, hash_seed=3)
         cfg = StructuralCheckConfig(
-            surrogate=SurrogateSpec("sigmoid", 1e-3), noise=NoiseStrategy("constant", eta_bound=0.3),
+            surrogate=SurrogateSpec("sigmoid", 1e-3), noise=noise,
             marginal=MarginalSampler("uniform_ball_isotropic", dim), profile=disk_profile(),
             angles=(0.7,), mc_samples=2,
         )
@@ -943,7 +944,7 @@ class TestAngleThreads:
 
     @pytest.mark.parametrize("dim, threads", [(2, 8), (10, 8), (100, 8), (500, 4), (1000, 2)])
     def test_the_pool_holds_its_point_buffers_within_the_budget(self, monkeypatch, dim, threads):
-        # each angle holds one (_CHUNK, d) point buffer, xs (TestChunkWork)
+        # each angle holds one (d, _CHUNK) point buffer, xs (TestChunkWork)
         import concurrent.futures
 
         pools = []
