@@ -99,15 +99,13 @@ def _hash_unit_floats(xs: np.ndarray, hash_seed: int) -> np.ndarray:
     return (_hash64(xs, hash_seed) >> np.uint64(11)) * 2.0**-53
 
 
-def noise_rates(
-    strategy: NoiseStrategy, target: np.ndarray, xs: np.ndarray, *, margins: np.ndarray | None = None
-) -> np.ndarray:
-    """Flip rate eta(x) for each row of xs against the target normal.
-
-    margins, if given, must be xs @ target; the margin-dependent kinds then
-    use it instead of computing the product again.
-    """
+def noise_rates(strategy: NoiseStrategy, xs: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """Flip rate eta(x) of each row of xs, given its margin <target, x>: the
+    margin kinds read only the margins, random_measurable only xs."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    margins = np.atleast_1d(margins)
+    if margins.shape != xs.shape[:1]:
+        raise ValueError(f"need one margin per row of xs, got {margins.shape} for xs of shape {xs.shape}")
     kind = strategy.kind
     if kind == "none":
         return np.zeros(xs.shape[0])
@@ -115,7 +113,7 @@ def noise_rates(
         return np.full(xs.shape[0], strategy.eta_bound)
     if kind == "random_measurable":
         return strategy.eta_bound * _hash_unit_floats(xs, strategy.hash_seed)
-    margins = np.abs(xs @ target if margins is None else margins)
+    margins = np.abs(margins)
     if kind == "boundary_concentrated":
         return (margins <= strategy.band) * strategy.eta_bound
     # strong_massart_max
@@ -177,7 +175,7 @@ class MassartOracle:
         xs = self.marginal.sample(n, self._x_rng)
         margins = xs @ self.target
         clean = sign_of(margins)
-        rates = noise_rates(self.strategy, self.target, xs, margins=margins)
+        rates = noise_rates(self.strategy, xs, margins)
         flips = self._flip_rng.random(n) < rates
         ys = np.where(flips, -clean, clean)
         return Draw(xs=xs, ys=ys, flipped=flips)
@@ -191,7 +189,7 @@ class MassartOracle:
         if n < 2:
             raise ValueError("opt_error needs at least 2 samples")
         xs = self.marginal.sample(n, self._opt_rng)
-        rates = noise_rates(self.strategy, self.target, xs)
+        rates = noise_rates(self.strategy, xs, xs @ self.target)
         est = float(np.mean(rates))
         stderr = float(np.std(rates, ddof=1) / math.sqrt(n))
         return est, stderr

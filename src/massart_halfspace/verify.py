@@ -26,10 +26,11 @@ coordinates are drawn from the closed-form projected density, with the
 w-coordinate importance-sampled from a Laplace mixture matched to the
 derivative's width sigma; weights are bounded by 1/(1 - MIXTURE_WEIGHT),
 so the estimator keeps finite variance while spending most samples where
-the derivative actually lives. Noise rates are evaluated on the in-plane
-points embedded back into R^d; for point-dependent strategies this
-checks an (equally admissible) in-plane adversary rather than the
-ambient one.
+the derivative actually lives. The margin kinds' noise rates read each
+point's margin <w*, x> = m cos(theta) + u sin(theta) in closed form, from
+its coordinates (m, u) along (w, b1). Only the random_measurable hash reads
+the points embedded back into R^d, so it checks an (equally admissible)
+in-plane adversary rather than the ambient one.
 
 Sample size. Points come in chunks of _CHUNK and the stderr is taken over
 the chunk means. The first round draws max(2, ceil(mc_samples / _CHUNK))
@@ -47,11 +48,9 @@ drawing up to the cap.
 Chunk cost. The output bits are fixed by the order and size of every
 random draw (the band uniforms, the Laplace draws, the marginal's beta
 draws and sign uniforms, the stratum permutation and its uniforms) and by
-the association of each whole-array expression a chunk evaluates; the
-point build keeps the association of m * w_hat + u * b1 in every entry.
-An angle's points sit in one C-order (d, _CHUNK) buffer, filled by
-coordinate rows; noise_rates reads its transpose, so from d = 3 the margin
-kinds' xs @ target, and the rates made from it, round by that layout.
+the association of each whole-array expression a chunk evaluates; none is
+a matrix product. An angle's points sit in one (d, _CHUNK) buffer, each
+coordinate row built as m * w_hat + u * b1, and only the hash reads them.
 
 Threads. The angles of a check share nothing they write: each has its own
 generator, plane and point buffer, and numpy and scipy release the GIL inside
@@ -271,11 +270,12 @@ def _estimate_angle(
         np.clip(v, 1e-12, 1.0 - 1e-12, out=v)
         u = plane.conditional_inverse_cdf(m, v)
         u[~(marg > 0.0)] = 0.0
-        s = sign_of(cos_t * m + sin_t * u)
+        margin = cos_t * m + sin_t * u  # <target, x> of each point
+        s = sign_of(margin)
         for j in range(dim):  # xs.T = m[:, None] * w_hat + u[:, None] * b1
             np.multiply(m, w_hat[j], out=xs[j])
             xs[j] += u * b1[j]
-        contrib = (-(1.0 - 2.0 * noise_rates(config.noise, target, xs.T)) * s
+        contrib = (-(1.0 - 2.0 * noise_rates(config.noise, xs.T, margin)) * s
                    * surrogate_derivative(config.surrogate, m) * u * weight)
         # good = -contrib where u * s > 0, bad = contrib elsewhere. Zeros of -0.0
         # change no sum; a non-finite contrib makes the stderr NaN and the angle

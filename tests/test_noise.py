@@ -65,19 +65,19 @@ class TestRates:
     def test_none_is_zero(self):
         xs = np.random.default_rng(0).standard_normal((50, 3))
         t = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(noise_rates(NoiseStrategy(kind="none"), t, xs), np.zeros(50))
+        assert np.array_equal(noise_rates(NoiseStrategy(kind="none"), xs, xs @ t), np.zeros(50))
 
     def test_constant_is_flat(self):
         xs = np.random.default_rng(1).standard_normal((50, 3))
         t = np.array([0.0, 1.0, 0.0])
-        rates = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.3), t, xs)
+        rates = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.3), xs, xs @ t)
         assert np.array_equal(rates, np.full(50, 0.3))
 
     def test_boundary_band_is_inclusive(self):
         t = np.array([1.0, 0.0])
         xs = np.array([[0.4, 1.0], [-0.5, 0.2], [0.6, 0.0]])
         s = NoiseStrategy(kind="boundary_concentrated", eta_bound=0.3, band=0.5)
-        assert np.array_equal(noise_rates(s, t, xs), np.array([0.3, 0.3, 0.0]))
+        assert np.array_equal(noise_rates(s, xs, xs @ t), np.array([0.3, 0.3, 0.0]))
 
     def test_strong_hand_values(self):
         t = np.array([1.0, 0.0])
@@ -85,19 +85,19 @@ class TestRates:
         s2 = NoiseStrategy(kind="strong_massart_max", c_strong=0.5)
         xs = np.array([[0.0, 1.0], [0.3, -2.0], [-0.3, 0.1], [2.0, 0.0]])
         # hand arithmetic: max(1/2 - c*|m|, 0)
-        assert np.allclose(noise_rates(s1, t, xs), [0.5, 0.2, 0.2, 0.0], atol=1e-15)
-        assert np.allclose(noise_rates(s2, t, xs), [0.5, 0.35, 0.35, 0.0], atol=1e-15)
+        assert np.allclose(noise_rates(s1, xs, xs @ t), [0.5, 0.2, 0.2, 0.0], atol=1e-15)
+        assert np.allclose(noise_rates(s2, xs, xs @ t), [0.5, 0.35, 0.35, 0.0], atol=1e-15)
 
     def test_random_measurable_is_deterministic_in_x(self):
         xs = np.random.default_rng(2).standard_normal((200, 4))
         t = np.array([0.5, 0.5, 0.5, 0.5])
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.4, hash_seed=9)
-        a = noise_rates(s, t, xs)
-        b = noise_rates(s, t, xs)
+        a = noise_rates(s, xs, xs @ t)
+        b = noise_rates(s, xs, xs @ t)
         assert np.array_equal(a, b)
         assert np.all((0.0 <= a) & (a < 0.4))
         other = noise_rates(
-            NoiseStrategy(kind="random_measurable", eta_bound=0.4, hash_seed=10), t, xs
+            NoiseStrategy(kind="random_measurable", eta_bound=0.4, hash_seed=10), xs, xs @ t
         )
         assert not np.array_equal(a, other)
 
@@ -105,15 +105,29 @@ class TestRates:
         xs = np.random.default_rng(3).standard_normal((20_000, 3))
         t = np.array([1.0, 0.0, 0.0])
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.3, hash_seed=0)
-        rates = noise_rates(s, t, xs)
+        rates = noise_rates(s, xs, xs @ t)
         stderr = 0.3 / math.sqrt(12 * len(xs))
         assert abs(float(rates.mean()) - 0.15) <= 5 * stderr
 
     def test_single_row_is_accepted(self):
-        t = np.array([1.0, 0.0])
-        got = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.25), t, np.array([0.1, 5.0]))
+        x = np.array([0.1, 5.0])
+        got = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.25), x, x @ np.array([1.0, 0.0]))
         assert got.shape == (1,)
         assert got[0] == 0.25
+        for kind in NOISE_KINDS:  # a 1-d point and its scalar margin, as one row
+            s = _strategy(kind)
+            assert noise_rates(s, x, 0.1).tobytes() == noise_rates(s, x[None, :], np.array([0.1])).tobytes()
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_one_margin_per_row(self, kind):
+        rng = np.random.default_rng(7)
+        xs = rng.standard_normal((50, 3))
+        t = np.array([0.0, 0.6, 0.8])
+        s = _strategy(kind)
+        # first, the target where the points go and the points where the margins go
+        for args in ((t, xs), (xs, xs[:49] @ t), (xs, np.outer(xs @ t, t)), (xs, 0.5), (xs[0], xs[:2] @ t)):
+            with pytest.raises(ValueError, match="one margin per row"):
+                noise_rates(s, *args)
 
     @given(st.sampled_from(BOUNDED_NOISE_KINDS), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -123,7 +137,7 @@ class TestRates:
         t /= np.linalg.norm(t)
         xs = rng.standard_normal((256, 3)) * 3.0
         s = NoiseStrategy(kind=kind, eta_bound=0.45, band=0.3, hash_seed=seed)
-        rates = noise_rates(s, t, xs)
+        rates = noise_rates(s, xs, xs @ t)
         assert np.all(rates >= 0.0)
         assert np.all(rates <= 0.45)
 
@@ -134,7 +148,7 @@ class TestRates:
         t = rng.standard_normal(4)
         t /= np.linalg.norm(t)
         xs = rng.standard_normal((256, 4))
-        rates = noise_rates(NoiseStrategy(kind="strong_massart_max", c_strong=c), t, xs)
+        rates = noise_rates(NoiseStrategy(kind="strong_massart_max", c_strong=c), xs, xs @ t)
         assert np.all(rates >= 0.0)
         assert np.all(rates <= 0.5)
 
@@ -176,7 +190,7 @@ class TestMeasurableHash:
         unit = (expected >> 11) / 2.0**53
         assert noise._hash_unit_floats(xs, seed)[0] == unit
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.25, hash_seed=seed)
-        assert noise_rates(s, np.eye(len(row))[0], xs)[0] == 0.25 * unit
+        assert noise_rates(s, xs, xs @ np.eye(len(row))[0])[0] == 0.25 * unit
 
     @given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), min_size=1, max_size=20),
            st.integers(0, 2**64 - 1))
@@ -209,8 +223,9 @@ class TestMeasurableHash:
             assert np.array_equal(noise._hash64(view, 5), expected)
         assert np.array_equal(noise._hash64(xs[::-1], 5), expected[::-1])
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.3, hash_seed=5)
-        rates = noise_rates(s, np.array([1.0, 0.0, 0.0]), xs)
-        assert np.array_equal(noise_rates(s, np.array([1.0, 0.0, 0.0]), wide[:, ::2]), rates)
+        t = np.array([1.0, 0.0, 0.0])
+        rates = noise_rates(s, xs, xs @ t)
+        assert np.array_equal(noise_rates(s, wide[:, ::2], wide[:, ::2] @ t), rates)
 
     def test_all_ones_hash_maps_below_one(self, monkeypatch):
         top = np.array([2**64 - 1, 2**64 - 2**11, 2**11 - 1, 0], dtype=np.uint64)
@@ -221,7 +236,7 @@ class TestMeasurableHash:
         assert unit[2] == unit[3] == 0.0
         for eta in (0.1, 0.3, 0.45, 0.5 - 2.0**-54):
             s = NoiseStrategy(kind="random_measurable", eta_bound=eta)
-            assert noise_rates(s, np.array([1.0, 0.0]), np.zeros((4, 2)))[0] < eta
+            assert noise_rates(s, np.zeros((4, 2)), np.zeros(4))[0] < eta
 
 
 def _strategy(kind):
@@ -233,18 +248,6 @@ def _strategy(kind):
 
 class TestSharedMargins:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
-    def test_margins_argument_changes_no_bit(self, kind):
-        rng = np.random.default_rng(6)
-        t = rng.standard_normal(5)
-        t /= np.linalg.norm(t)
-        xs = rng.standard_normal((4000, 5))
-        s = _strategy(kind)
-        fresh = noise_rates(s, t, xs)
-        shared = noise_rates(s, t, xs, margins=xs @ t)
-        assert fresh.dtype == shared.dtype
-        assert fresh.tobytes() == shared.tobytes()
-
-    @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_draw_matches_the_two_product_reference(self, kind):
         s = _strategy(kind)
         oracle = MassartOracle(
@@ -254,13 +257,13 @@ class TestSharedMargins:
             seed=21,
         )
         got = [oracle.draw(3000), oracle.draw(1000)]
-        # reference draw: one product for the clean labels and a second
-        # inside noise_rates
+        # reference draw: one product for the clean labels and a second,
+        # passed to noise_rates as the margins
         x_rng, flip_rng = make_rng(21, STREAM_X), make_rng(21, STREAM_FLIP)
         for d, n in zip(got, (3000, 1000)):
             xs = oracle.marginal.sample(n, rng=x_rng)
             clean = sign_of(xs @ oracle.target)
-            flips = flip_rng.random(n) < noise_rates(s, oracle.target, xs)
+            flips = flip_rng.random(n) < noise_rates(s, xs, xs @ oracle.target)
             ys = np.where(flips, -clean, clean)
             assert d.xs.tobytes() == xs.tobytes()
             assert d.ys.tobytes() == ys.tobytes()

@@ -442,10 +442,11 @@ class TestEstimatorProperties:
 # Bit parity. The helpers the verify chunk calls compute without
 # scalar-operand np.where; the np.where forms below are what they replaced.
 # The reference chunk differs from verify's only in calling those forms and in
-# building its points with one broadcast, which it stores in verify's
-# (d, _CHUNK) layout: the margin product rounds by layout from d = 3. On one
-# machine both must give the same bits. numpy picks its SIMD loops by CPU, so
-# the comparison runs in one process, not against stored bytes.
+# building its points with one C-order (_CHUNK, d) broadcast: no rate reads the
+# layout, as the margin kinds take the closed-form margin and the hash reads
+# bit patterns. On one machine both must give the same bits. numpy picks its
+# SIMD loops by CPU, so the comparison runs in one process, not against stored
+# bytes.
 
 
 def _where_sign_of(t):
@@ -500,18 +501,18 @@ def _where_derivative(spec, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _where_noise_rates(strategy, target, xs):
+def _where_noise_rates(strategy, xs, margins):
     if strategy.kind == "boundary_concentrated":
-        return np.where(np.abs(xs @ target) <= strategy.band, strategy.eta_bound, 0.0)
-    return noise_rates(strategy, target, xs)
+        return np.where(np.abs(margins) <= strategy.band, strategy.eta_bound, 0.0)
+    return noise_rates(strategy, xs, margins)
 
 
 def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
     """verify._estimate_angle over the np.where helper forms above, with its
-    points built by one (_CHUNK, d) broadcast rather than row by row, then
-    laid out as verify's (d, _CHUNK) buffer and read through its transpose.
-    It reads the module's constants at call time, so a monkeypatch reaches
-    both. No parity case raises, so it never reads the stop flag."""
+    points built by one C-order (_CHUNK, d) broadcast rather than row by row
+    into a (d, _CHUNK) buffer, and with its rates read off target_margin. It
+    reads the module's constants at call time, so a monkeypatch reaches both.
+    No parity case raises, so it never reads the stop flag."""
     vm = verify_mod
     dim = config.marginal.dim
     sigma = config.surrogate.sigma
@@ -544,8 +545,8 @@ def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
         u = np.where(marg > 0.0, plane.conditional_inverse_cdf(m, v), 0.0)
         target_margin = cos_t * m + sin_t * u
         s = _where_sign_of(target_margin)
-        xs = np.ascontiguousarray((m[:, None] * w_hat + u[:, None] * b1).T).T
-        rates = _where_noise_rates(config.noise, target, xs)
+        xs = m[:, None] * w_hat + u[:, None] * b1
+        rates = _where_noise_rates(config.noise, xs, target_margin)
         f = -(1.0 - 2.0 * rates) * s * _where_derivative(config.surrogate, m) * u
         contrib = f * weight
         in_good = (u * s) > 0.0
@@ -589,7 +590,7 @@ _PARITY_MARGINALS = [
     (MarginalSampler("uniform_ball_isotropic", 5), GAUSS),
     (MarginalSampler("uniform_sphere_scaled", 6), GAUSS),
     (MarginalSampler("standard_gaussian", 3), GAUSS),
-    (MarginalSampler("uniform_ball_isotropic", 16), GAUSS),  # the hash and the margin product read 16 rows
+    (MarginalSampler("uniform_ball_isotropic", 16), GAUSS),  # the hash reads 16 coordinates of each point
 ]
 _PARITY_NOISES = [
     (surrogate, NoiseStrategy(kind, eta_bound=0.3, band=0.5, hash_seed=3))
@@ -683,8 +684,8 @@ class TestChunkWork:
                                       "strong_massart_max"])
     def test_an_angle_holds_one_point_buffer(self, monkeypatch, kind):
         # numpy reports its allocations to tracemalloc. The points are built row by
-        # row, and the hash and the margin product read their transposed view in
-        # place, so no second point-sized array joins xs.
+        # row, the hash reads their transposed view in place, and the margin kinds
+        # read the closed-form margin, so no second point-sized array joins xs.
         dim = 64
         monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
         noise = NoiseStrategy(kind, eta_bound=0.3, c_strong=0.5, band=0.5, hash_seed=3)
@@ -791,7 +792,7 @@ class TestHelperBits:
                    -math.nextafter(band, 1.0), 0.2, -3.0]
         xs = np.array([[m, 7.0] for m in margins])
         target = np.array([1.0, 0.0])
-        _assert_same_bits(noise_rates(noise, target, xs), _where_noise_rates(noise, target, xs))
+        _assert_same_bits(noise_rates(noise, xs, xs @ target), _where_noise_rates(noise, xs, xs @ target))
 
 
 # ---------------------------------------------------------------------------
