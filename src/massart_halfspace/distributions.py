@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -45,6 +45,7 @@ DISK_RADIUS = 2.0
 LOGCONCAVE_DENSITY_BOUND = math.e * 2.0**17
 LOGCONCAVE_INNER_RADIUS = 1.0 / 9.0
 DEFAULT_CONCENTRATION_KNOB = 16.0
+BETA_HALF_THREE_HALVES = 1.5707963267948963  # scipy's special.beta(0.5, 1.5); pi / 2 is one float above
 
 
 def support_radius(kind: str, dim: int) -> float | None:
@@ -299,7 +300,9 @@ class PlaneDensity:
     the density of a single in-plane coordinate, `sample_marginal` draws
     from it, and `sample_conditional` draws the second coordinate given
     the first. Beta-distributed squared coordinates cover the bounded
-    kinds; the Gaussian factorizes.
+    kinds; the Gaussian factorizes. Only the Gaussian's `ndtri`, a
+    non-uniform conditional's `betaincinv` and a norm other than the disk's
+    import `scipy.special`, when first used: the disk never loads it.
     """
 
     kind: str
@@ -308,18 +311,23 @@ class PlaneDensity:
     _marg_beta: float = 0.0  # u^2 ~ Beta(1/2, _marg_beta) for u = t/radius
     _cond_beta: float = 0.0
 
+    @cached_property
+    def _marginal_norm(self) -> float:  # radius * B(1/2, _marg_beta), once per density
+        if self._marg_beta == 1.5:  # the disk, the ball at d = 2, the sphere at d = 4
+            return self.radius * BETA_HALF_THREE_HALVES
+        from scipy import special
+        return self.radius * special.beta(0.5, self._marg_beta)
+
     def marginal_pdf(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "standard_gaussian":
             return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-        from scipy import special
-        norm = self.radius * special.beta(0.5, self._marg_beta)
         u2 = np.clip(t / self.radius, -1.0, 1.0) ** 2
         # (1 - u2)**expo / norm at every point, then 0 off the support. The
         # exponent is never negative, so the edge u2 = 1 raises no warning.
         pdf = np.subtract(1.0, u2, out=np.empty_like(t))
         pdf **= self._marg_beta - 1.0
-        pdf /= norm
+        pdf /= self._marginal_norm
         np.copyto(pdf, 0.0, where=~(u2 < 1.0))
         return pdf
 
@@ -347,15 +355,16 @@ class PlaneDensity:
         Lets callers drive the conditional draw with stratified or
         quasi-random uniforms instead of fresh ones.
         """
-        from scipy import special
         t = np.asarray(t, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         if self.kind == "standard_gaussian":
+            from scipy import special
             return special.ndtri(v)
         half_width = np.sqrt(np.maximum(self.radius**2 - t * t, 0.0))
         centered = 2.0 * v - 1.0
         if self._cond_beta == 1.0:  # uniform conditional, e.g. the disk
             return half_width * centered
+        from scipy import special
         mag = np.sqrt(special.betaincinv(0.5, self._cond_beta, np.abs(centered)))
         return half_width * mag * np.sign(centered)
 
@@ -366,9 +375,9 @@ def plane_density(kind: str, dim: int) -> PlaneDensity:
     Projecting the uniform ball of radius r in R^d onto a plane gives
     density proportional to (1 - rho^2/r^2)^((d-2)/2); the sphere gives
     exponent (d-4)/2 and therefore needs d >= 3 to project to a proper
-    density. Single-coordinate marginals shave another half power.
+    density. Single-coordinate marginals shave another half power. Building
+    one imports no scipy, so a config load can check it for free.
     """
-    import scipy.special  # noqa: F401  only plane densities use scipy; a learn run builds none
     if kind == "standard_gaussian":
         return PlaneDensity(kind=kind, dim=dim, radius=None)
     r = support_radius(kind, dim)

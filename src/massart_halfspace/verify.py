@@ -343,7 +343,7 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
     plane = plane_density(config.marginal.kind, config.marginal.dim)
     lemma, param, _ = verify_lemma(config.surrogate.kind, config.noise, config.profile, config.angles)
     floor = lemma_gradient_floor(lemma, config.profile, param)
-    # imported here, as scipy is in plane_density: a learn run never pays for it
+    # imported here, so that neither a learn run nor a config load pays for it
     from concurrent.futures import ThreadPoolExecutor
 
     buffer_bytes = _CHUNK * config.marginal.dim * 8  # one angle's xs

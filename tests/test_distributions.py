@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from massart_halfspace import (
     MarginalSampler,
@@ -17,7 +17,7 @@ from massart_halfspace import (
     logconcave_profile,
     plane_density,
 )
-from massart_halfspace.distributions import SAMPLER_KINDS, support_radius
+from massart_halfspace.distributions import BETA_HALF_THREE_HALVES, SAMPLER_KINDS, support_radius
 from massart_halfspace.geometry import BoundedProfile
 from massart_halfspace.rng import make_rng
 
@@ -222,6 +222,28 @@ class TestPlaneDensity:
         lim = pd.radius if pd.radius is not None else 12.0
         total, err = integrate.quad(lambda t: float(pd.marginal_pdf(t)), -lim, lim)
         assert total == pytest.approx(1.0, abs=max(1e-8, 10 * err))
+
+    def test_disk_norm_constant_is_scipys_beta(self):
+        assert BETA_HALF_THREE_HALVES == float(special.beta(0.5, 1.5))
+        assert BETA_HALF_THREE_HALVES != math.pi / 2
+
+    @pytest.mark.parametrize("kind,dim", [
+        ("uniform_disk_2d", 2),
+        ("uniform_ball_isotropic", 2),
+        ("uniform_ball_isotropic", 5),
+        ("uniform_sphere_scaled", 4),
+        ("uniform_sphere_scaled", 6),
+    ])
+    def test_marginal_pdf_bits_match_scipy_norm(self, kind, dim):
+        # bit-equal to the density normed by scipy's beta, edges and outside included
+        pd = plane_density(kind, dim)
+        r = pd.radius
+        t = np.concatenate([np.linspace(-r, r, 101), [-1.5 * r, np.nextafter(-r, 0.0), np.nextafter(r, 0.0), 2 * r]])
+        u2 = np.clip(t / r, -1.0, 1.0) ** 2
+        expected = np.where(u2 < 1.0, (1.0 - u2) ** (pd._marg_beta - 1.0) / (r * special.beta(0.5, pd._marg_beta)), 0.0)
+        got = pd.marginal_pdf(t)
+        assert got.tobytes() == expected.tobytes()
+        assert pd.marginal_pdf(t).tobytes() == got.tobytes()  # and again, from the cached norm
 
     def test_sphere_needs_three_dims(self):
         with pytest.raises(ValueError):

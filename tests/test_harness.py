@@ -670,6 +670,8 @@ class TestRunLearn:
             assert excess == pytest.approx(noisy - opt, abs=1e-12)
             assert row[header.index("verdict")] == "pass"
 
+    _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
     @pytest.mark.parametrize("model", ["massart", "strong_massart"])
     def test_learn_run_never_imports_scipy(self, tmp_path, model):
         # scipy serves only the verify estimator's plane densities; a learn
@@ -682,20 +684,49 @@ class TestRunLearn:
             "import json, sys\n"
             "from massart_halfspace import harness\n"
             "code = harness.run(harness.config_from_mapping(json.loads(sys.argv[1])))\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            f"print(json.dumps([code, {self._SCIPY_LOADED}]))\n"
         )
-        package_root = str(Path(massart_halfspace.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(flat)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(EXIT_OK), "[]"]
+        assert self._fresh(code, json.dumps(flat)) == [EXIT_OK, []]
+
+    @pytest.mark.parametrize("fixture", ["verify_sigmoid_disk.cfg", "verify_ramp_disk.cfg",
+                                         "verify_strong_disk.cfg"])
+    def test_disk_verify_run_never_imports_scipy(self, tmp_path, fixture):
+        # the disk's norm is a constant and its conditional is uniform, so a
+        # disk verify run, config load included, needs nothing from scipy
+        code = (
+            "import json, sys\n"
+            "from massart_halfspace import harness\n"
+            "flat = harness.read_config(sys.argv[1])\n"
+            "flat['out'] = sys.argv[2]\n"
+            "code = harness.run(harness.config_from_mapping(flat))\n"
+            f"print(json.dumps([code, {self._SCIPY_LOADED}]))\n"
+        )
+        assert self._fresh(code, str(FIXTURES / fixture), str(tmp_path)) == [EXIT_OK, []]
+
+    @pytest.mark.parametrize("kind,dim", [
+        ("standard_gaussian", 5),
+        ("uniform_ball_isotropic", 5),
+        ("uniform_sphere_scaled", 6),
+    ])
+    def test_verify_config_load_never_imports_scipy(self, tmp_path, kind, dim):
+        # the kinds whose estimator needs scipy import it at their first
+        # chunk, here on two angle threads at once
+        flat = _flat(VERIFY_FLAT, tmp_path, **{"marginal.kind": kind, "marginal.dim": dim, "profile": "disk_exact",
+                                               "verify.angles": "1.5707963267948966,0.7853981633974483"})
+        code = (
+            "import json, sys\n"
+            "from massart_halfspace import harness\n"
+            "config = harness.config_from_mapping(json.loads(sys.argv[1]))\n"
+            f"at_load = {self._SCIPY_LOADED}\n"
+            "code = harness.run(config)\n"
+            "print(json.dumps([at_load, code, 'scipy.special' in sys.modules]))\n"
+        )
+        assert self._fresh(code, json.dumps(flat)) == [[], EXIT_OK, True]
 
     # concurrent.futures, and the logging, queue and traceback it pulls in,
     # serves only verify's angle threads, so no module of the package may
-    # import it at package import, at config load or in a learn run.
-    # scipy.special imports it itself (through numpy.testing), so a verify
-    # config's load may hold it; the hook below names each importer.
+    # import it at package import, at config load or in a learn run; the
+    # hook below names each importer.
     _WATCH_FUTURES = (
         "import json, sys\n"
         "importers = []\n"
@@ -732,7 +763,8 @@ class TestRunLearn:
         assert self._fresh(code, json.dumps(flat)) == [EXIT_OK, False, []]
 
     @pytest.mark.parametrize("fixture", ["learn_massart_gaussian.cfg", "learn_strong_gaussian.cfg",
-                                         "verify_sigmoid_disk.cfg"])
+                                         "verify_sigmoid_disk.cfg", "verify_ramp_disk.cfg",
+                                         "verify_strong_disk.cfg"])
     def test_setup_never_imports_concurrent_futures(self, fixture):
         # the benchmark's setup_s path: the package import, then the config load
         code = self._WATCH_FUTURES + (
@@ -741,11 +773,7 @@ class TestRunLearn:
             "massart_halfspace.harness.load_config(sys.argv[1])\n"
             "print(json.dumps([at_import, loaded(), importers]))\n"
         )
-        at_import, at_load, importers = self._fresh(code, str(FIXTURES / fixture))
-        assert not at_import
-        assert not any(name.split(".")[0] == "massart_halfspace" for name in importers)
-        if fixture.startswith("learn"):
-            assert not at_load
+        assert self._fresh(code, str(FIXTURES / fixture)) == [False, False, []]
 
 
 # --------------------------------------------------------------------------
