@@ -67,23 +67,27 @@ class NoiseStrategy:
         return MODEL_STRONG if self.kind == "strong_massart_max" else MODEL_MASSART
 
 
-# Keyed 64-bit row hash: h starts at hash_seed ^ _HASH_KEY; each coordinate's
+# Keyed 64-bit point hash: h starts at hash_seed ^ _HASH_KEY; each coordinate's
 # bit pattern is XORed in, _HASH_STEP is added, and the splitmix64 finalizer
 # (Steele, Lea and Flood, OOPSLA'14) mixes the state. Every round is a
-# bijection of h, so changing one coordinate of a row always changes its hash.
+# bijection of h, so changing one coordinate of a point always changes its hash.
 _HASH_KEY = 0x243F6A8885A308D3
 _HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
 _MUL_1, _MUL_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def _hash64(xs: np.ndarray, hash_seed: int) -> np.ndarray:
-    """Keyed uint64 hash of the float64 bit pattern of each row of xs."""
-    bits = np.asarray(xs, dtype=np.float64).view(np.uint64)
-    h = np.full(bits.shape[0], int(hash_seed) ^ _HASH_KEY, dtype=np.uint64)
+def _hash64(columns, n: int, hash_seed: int) -> np.ndarray:
+    """Keyed uint64 hash of the float64 bit pattern of each of n points,
+    read from `columns`, the points' coordinate arrays in order."""
+    h = np.full(n, int(hash_seed) ^ _HASH_KEY, dtype=np.uint64)
     tmp = np.empty_like(h)  # one shift buffer, reused by every in-place step
-    for j in range(bits.shape[1]):
-        h ^= bits[:, j]
+    for col in columns:
+        col = np.asarray(col, dtype=np.float64)
+        if col.shape != h.shape:
+            raise ValueError(f"need one margin per point, got {n} margins and a coordinate "
+                             f"array of shape {col.shape}")
+        h ^= col.view(np.uint64)
         h += _HASH_STEP
         h ^= np.right_shift(h, _SHIFT_1, out=tmp)
         h *= _MUL_1
@@ -93,26 +97,28 @@ def _hash64(xs: np.ndarray, hash_seed: int) -> np.ndarray:
     return h
 
 
-def _hash_unit_floats(xs: np.ndarray, hash_seed: int) -> np.ndarray:
-    """Deterministic map from the bit pattern of each row to [0, 1): the top
+def _hash_unit_floats(columns, n: int, hash_seed: int) -> np.ndarray:
+    """Deterministic map from the bit pattern of each point to [0, 1): the top
     53 bits of its hash, so the largest value is 1 - 2**-53."""
-    return (_hash64(xs, hash_seed) >> np.uint64(11)) * 2.0**-53
+    return (_hash64(columns, n, hash_seed) >> np.uint64(11)) * 2.0**-53
 
 
-def noise_rates(strategy: NoiseStrategy, xs: np.ndarray, margins: np.ndarray) -> np.ndarray:
-    """Flip rate eta(x) of each row of xs, given its margin <target, x>: the
-    margin kinds read only the margins, random_measurable only xs."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+def noise_rates(strategy: NoiseStrategy, columns, margins: np.ndarray) -> np.ndarray:
+    """Flip rate eta(x) of each point, given its margin <target, x>: the
+    margin kinds read only the margins (1-d, or a scalar for one point),
+    random_measurable only `columns`, the points' coordinate arrays, one at
+    a time (xs.T of an (n, d) array, or any iterable that yields them)."""
     margins = np.atleast_1d(margins)
-    if margins.shape != xs.shape[:1]:
-        raise ValueError(f"need one margin per row of xs, got {margins.shape} for xs of shape {xs.shape}")
+    if margins.ndim != 1:
+        raise ValueError(f"need one margin per point, got margins of shape {margins.shape}")
+    n = margins.shape[0]
     kind = strategy.kind
     if kind == "none":
-        return np.zeros(xs.shape[0])
+        return np.zeros(n)
     if kind == "constant":
-        return np.full(xs.shape[0], strategy.eta_bound)
+        return np.full(n, strategy.eta_bound)
     if kind == "random_measurable":
-        return strategy.eta_bound * _hash_unit_floats(xs, strategy.hash_seed)
+        return strategy.eta_bound * _hash_unit_floats(columns, n, strategy.hash_seed)
     margins = np.abs(margins)
     if kind == "boundary_concentrated":
         return (margins <= strategy.band) * strategy.eta_bound
@@ -175,7 +181,7 @@ class MassartOracle:
         xs = self.marginal.sample(n, self._x_rng)
         margins = xs @ self.target
         clean = sign_of(margins)
-        rates = noise_rates(self.strategy, xs, margins)
+        rates = noise_rates(self.strategy, xs.T, margins)
         flips = self._flip_rng.random(n) < rates
         ys = np.where(flips, -clean, clean)
         return Draw(xs=xs, ys=ys, flipped=flips)
@@ -189,7 +195,7 @@ class MassartOracle:
         if n < 2:
             raise ValueError("opt_error needs at least 2 samples")
         xs = self.marginal.sample(n, self._opt_rng)
-        rates = noise_rates(self.strategy, xs, xs @ self.target)
+        rates = noise_rates(self.strategy, xs.T, xs @ self.target)
         est = float(np.mean(rates))
         stderr = float(np.std(rates, ddof=1) / math.sqrt(n))
         return est, stderr

@@ -49,19 +49,19 @@ Chunk cost. The output bits are fixed by the order and size of every
 random draw (the band uniforms, the Laplace draws, the marginal's beta
 draws and sign uniforms, the stratum permutation and its uniforms) and by
 the association of each whole-array expression a chunk evaluates; none is
-a matrix product. An angle's points sit in one (d, _CHUNK) buffer, each
-coordinate row built as m * w_hat + u * b1, and only the hash reads them.
+a matrix product. No chunk holds its points: the hash reads them one
+coordinate array at a time, each built as m * w_hat[j] + u * b1[j] when it
+is read, and the margin kinds build none.
 
 Threads. The angles of a check share nothing they write: each has its own
-generator, plane and point buffer, and numpy and scipy release the GIL inside
-their array loops and generator fills. `verify_stationary_gap` estimates
-them on min(usable cores, angles) threads, fewer where the angles' point
-buffers would pass _THREAD_BUFFER_BYTES together, and reads the results
-in angle order, so the report, and the exception that escapes when angles
-raise, are those of a plain loop over the angles at any thread count.
-Each angle runs in a copy of the caller's context, so numpy's errstate
-reaches it. Once an angle raises, no further angle starts and the running
-ones stop at their next chunk.
+generator and plane, and numpy and scipy release the GIL inside their
+array loops and generator fills. `verify_stationary_gap` estimates them on
+min(usable cores, angles) threads and reads the results in angle order,
+so the report, and the exception that escapes when angles raise, are
+those of a plain loop over the angles at any thread count. Each angle
+runs in a copy of the caller's context, so numpy's errstate reaches it.
+Once an angle raises, no further angle starts and the running ones stop
+at their next chunk.
 """
 from __future__ import annotations
 
@@ -96,9 +96,6 @@ MAX_MC_SAMPLES = MC_SAMPLE_CAP // _CHUNK * _CHUNK
 # An angle whose stderr would miss the target by more than this factor even
 # at the cap raises without drawing on (see "Sample size" in the module docstring).
 _HOPELESS_RATIO = 1000.0
-# The angle threads of a check together hold at most this many bytes of
-# (d, _CHUNK) point buffers, or one angle's where that alone is more.
-_THREAD_BUFFER_BYTES = 1 << 28
 
 # Share of the importance proposal drawn from the Laplace band at the margin.
 MIXTURE_WEIGHT = 0.9
@@ -250,7 +247,6 @@ def _estimate_angle(
     sums, sqs = np.zeros(3), np.zeros(3)
     chunks, want = 0, max(2, math.ceil(config.mc_samples / _CHUNK))
     target_stderr = floor * STDERR_FLOOR_FRACTION
-    xs = np.empty((dim, _CHUNK))  # the points of every chunk of this angle, one per column
     while True:
         if stop.is_set():
             return None  # the check has already raised; nothing reads this angle
@@ -272,10 +268,9 @@ def _estimate_angle(
         u[~(marg > 0.0)] = 0.0
         margin = cos_t * m + sin_t * u  # <target, x> of each point
         s = sign_of(margin)
-        for j in range(dim):  # xs.T = m[:, None] * w_hat + u[:, None] * b1
-            np.multiply(m, w_hat[j], out=xs[j])
-            xs[j] += u * b1[j]
-        contrib = (-(1.0 - 2.0 * noise_rates(config.noise, xs.T, margin)) * s
+        # the points' coordinates, each built only when the hash reads it
+        columns = (m * w_hat[j] + u * b1[j] for j in range(dim))
+        contrib = (-(1.0 - 2.0 * noise_rates(config.noise, columns, margin)) * s
                    * surrogate_derivative(config.surrogate, m) * u * weight)
         # good = -contrib where u * s > 0, bad = contrib elsewhere. Zeros of -0.0
         # change no sum; a non-finite contrib makes the stderr NaN and the angle
@@ -331,8 +326,7 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
     underpowered angle raises instead of returning a verdict.
 
     The angles are estimated concurrently, on one thread per usable core
-    up to one per angle and within _THREAD_BUFFER_BYTES of point buffers;
-    see "Threads" in the module docstring.
+    up to one per angle; see "Threads" in the module docstring.
     """
     target = require_unit(target, "target")
     if target.shape[0] != config.marginal.dim:
@@ -346,8 +340,7 @@ def verify_stationary_gap(config: StructuralCheckConfig, target: np.ndarray) -> 
     # imported here, so that neither a learn run nor a config load pays for it
     from concurrent.futures import ThreadPoolExecutor
 
-    buffer_bytes = _CHUNK * config.marginal.dim * 8  # one angle's xs
-    threads = min(_usable_cores(), len(config.angles), max(1, _THREAD_BUFFER_BYTES // buffer_bytes))
+    threads = min(_usable_cores(), len(config.angles))
     stop = threading.Event()
     with ThreadPoolExecutor(threads) as pool:
         try:

@@ -65,19 +65,19 @@ class TestRates:
     def test_none_is_zero(self):
         xs = np.random.default_rng(0).standard_normal((50, 3))
         t = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(noise_rates(NoiseStrategy(kind="none"), xs, xs @ t), np.zeros(50))
+        assert np.array_equal(noise_rates(NoiseStrategy(kind="none"), xs.T, xs @ t), np.zeros(50))
 
     def test_constant_is_flat(self):
         xs = np.random.default_rng(1).standard_normal((50, 3))
         t = np.array([0.0, 1.0, 0.0])
-        rates = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.3), xs, xs @ t)
+        rates = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.3), xs.T, xs @ t)
         assert np.array_equal(rates, np.full(50, 0.3))
 
     def test_boundary_band_is_inclusive(self):
         t = np.array([1.0, 0.0])
         xs = np.array([[0.4, 1.0], [-0.5, 0.2], [0.6, 0.0]])
         s = NoiseStrategy(kind="boundary_concentrated", eta_bound=0.3, band=0.5)
-        assert np.array_equal(noise_rates(s, xs, xs @ t), np.array([0.3, 0.3, 0.0]))
+        assert np.array_equal(noise_rates(s, xs.T, xs @ t), np.array([0.3, 0.3, 0.0]))
 
     def test_strong_hand_values(self):
         t = np.array([1.0, 0.0])
@@ -85,19 +85,19 @@ class TestRates:
         s2 = NoiseStrategy(kind="strong_massart_max", c_strong=0.5)
         xs = np.array([[0.0, 1.0], [0.3, -2.0], [-0.3, 0.1], [2.0, 0.0]])
         # hand arithmetic: max(1/2 - c*|m|, 0)
-        assert np.allclose(noise_rates(s1, xs, xs @ t), [0.5, 0.2, 0.2, 0.0], atol=1e-15)
-        assert np.allclose(noise_rates(s2, xs, xs @ t), [0.5, 0.35, 0.35, 0.0], atol=1e-15)
+        assert np.allclose(noise_rates(s1, xs.T, xs @ t), [0.5, 0.2, 0.2, 0.0], atol=1e-15)
+        assert np.allclose(noise_rates(s2, xs.T, xs @ t), [0.5, 0.35, 0.35, 0.0], atol=1e-15)
 
     def test_random_measurable_is_deterministic_in_x(self):
         xs = np.random.default_rng(2).standard_normal((200, 4))
         t = np.array([0.5, 0.5, 0.5, 0.5])
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.4, hash_seed=9)
-        a = noise_rates(s, xs, xs @ t)
-        b = noise_rates(s, xs, xs @ t)
+        a = noise_rates(s, xs.T, xs @ t)
+        b = noise_rates(s, xs.T, xs @ t)
         assert np.array_equal(a, b)
         assert np.all((0.0 <= a) & (a < 0.4))
         other = noise_rates(
-            NoiseStrategy(kind="random_measurable", eta_bound=0.4, hash_seed=10), xs, xs @ t
+            NoiseStrategy(kind="random_measurable", eta_bound=0.4, hash_seed=10), xs.T, xs @ t
         )
         assert not np.array_equal(a, other)
 
@@ -105,18 +105,19 @@ class TestRates:
         xs = np.random.default_rng(3).standard_normal((20_000, 3))
         t = np.array([1.0, 0.0, 0.0])
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.3, hash_seed=0)
-        rates = noise_rates(s, xs, xs @ t)
+        rates = noise_rates(s, xs.T, xs @ t)
         stderr = 0.3 / math.sqrt(12 * len(xs))
         assert abs(float(rates.mean()) - 0.15) <= 5 * stderr
 
     def test_single_row_is_accepted(self):
         x = np.array([0.1, 5.0])
-        got = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.25), x, x @ np.array([1.0, 0.0]))
+        got = noise_rates(NoiseStrategy(kind="constant", eta_bound=0.25), x[:, None], x @ np.array([1.0, 0.0]))
         assert got.shape == (1,)
         assert got[0] == 0.25
-        for kind in NOISE_KINDS:  # a 1-d point and its scalar margin, as one row
+        for kind in NOISE_KINDS:  # one point's coordinates and its scalar margin, as one row
             s = _strategy(kind)
-            assert noise_rates(s, x, 0.1).tobytes() == noise_rates(s, x[None, :], np.array([0.1])).tobytes()
+            one = noise_rates(s, x[:, None], np.array([0.1]))
+            assert noise_rates(s, x[:, None], 0.1).tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_one_margin_per_row(self, kind):
@@ -124,9 +125,14 @@ class TestRates:
         xs = rng.standard_normal((50, 3))
         t = np.array([0.0, 0.6, 0.8])
         s = _strategy(kind)
-        # first, the target where the points go and the points where the margins go
-        for args in ((t, xs), (xs, xs[:49] @ t), (xs, np.outer(xs @ t, t)), (xs, 0.5), (xs[0], xs[:2] @ t)):
-            with pytest.raises(ValueError, match="one margin per row"):
+        # every kind refuses 2-d margins: first, the target where the points go
+        # and the points where the margins go
+        bad = [(t, xs), (xs.T, np.outer(xs @ t, t)), (xs.T, (xs @ t)[:, None])]
+        if kind == "random_measurable":  # the one kind that reads the points
+            bad += [(xs.T, xs[:49] @ t), (xs.T, 0.5), (xs[0], xs[:2] @ t),
+                    ([xs[:, 0], xs[:49, 1], xs[:, 2]], xs @ t)]  # a short coordinate array
+        for args in bad:
+            with pytest.raises(ValueError, match="one margin per point"):
                 noise_rates(s, *args)
 
     @given(st.sampled_from(BOUNDED_NOISE_KINDS), st.integers(0, 10**6))
@@ -137,7 +143,7 @@ class TestRates:
         t /= np.linalg.norm(t)
         xs = rng.standard_normal((256, 3)) * 3.0
         s = NoiseStrategy(kind=kind, eta_bound=0.45, band=0.3, hash_seed=seed)
-        rates = noise_rates(s, xs, xs @ t)
+        rates = noise_rates(s, xs.T, xs @ t)
         assert np.all(rates >= 0.0)
         assert np.all(rates <= 0.45)
 
@@ -148,7 +154,7 @@ class TestRates:
         t = rng.standard_normal(4)
         t /= np.linalg.norm(t)
         xs = rng.standard_normal((256, 4))
-        rates = noise_rates(NoiseStrategy(kind="strong_massart_max", c_strong=c), xs, xs @ t)
+        rates = noise_rates(NoiseStrategy(kind="strong_massart_max", c_strong=c), xs.T, xs @ t)
         assert np.all(rates >= 0.0)
         assert np.all(rates <= 0.5)
 
@@ -185,18 +191,18 @@ class TestMeasurableHash:
     def test_golden_values(self, row, seed, expected):
         xs = np.array([row])
         assert _reference_hash64(xs.view(np.uint64)[0].tolist(), seed) == expected
-        assert int(noise._hash64(xs, seed)[0]) == expected
+        assert int(noise._hash64(xs.T, 1, seed)[0]) == expected
         # the rate keeps the hash's top 53 bits
         unit = (expected >> 11) / 2.0**53
-        assert noise._hash_unit_floats(xs, seed)[0] == unit
+        assert noise._hash_unit_floats(xs.T, 1, seed)[0] == unit
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.25, hash_seed=seed)
-        assert noise_rates(s, xs, xs @ np.eye(len(row))[0])[0] == 0.25 * unit
+        assert noise_rates(s, xs.T, xs @ np.eye(len(row))[0])[0] == 0.25 * unit
 
     @given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), min_size=1, max_size=20),
            st.integers(0, 2**64 - 1))
     @settings(max_examples=100, deadline=None)
     def test_matches_the_python_integer_reference(self, rows, seed):
-        h = noise._hash64(_rows_from_bits(rows), seed)
+        h = noise._hash64(_rows_from_bits(rows).T, len(rows), seed)
         assert [int(v) for v in h] == [_reference_hash64(bits, seed) for bits in rows]
 
     @given(
@@ -212,31 +218,33 @@ class TestMeasurableHash:
         changed = list(bits)
         changed[j] = other
         xs = np.stack([_rows_from_bits(bits), _rows_from_bits(changed)])
-        h = noise._hash64(xs, seed)
+        h = noise._hash64(xs.T, 2, seed)
         assert h[0] != h[1]
 
     def test_memory_layout_does_not_change_the_hash(self):
         wide = np.random.default_rng(4).standard_normal((300, 6))
         xs = np.ascontiguousarray(wide[:, ::2])
-        expected = noise._hash64(xs, 5)
-        for view in (np.asfortranarray(xs), wide[:, ::2]):
-            assert np.array_equal(noise._hash64(view, 5), expected)
-        assert np.array_equal(noise._hash64(xs[::-1], 5), expected[::-1])
+        expected = noise._hash64(xs.T, 300, 5)
+        # xs.T of an F-order copy and of a strided view, a list of the
+        # columns, and a generator that makes each one as it is read
+        for columns in (np.asfortranarray(xs).T, wide[:, ::2].T, list(xs.T), (xs[:, j].copy() for j in range(3))):
+            assert np.array_equal(noise._hash64(columns, 300, 5), expected)
+        assert np.array_equal(noise._hash64(xs[::-1].T, 300, 5), expected[::-1])
         s = NoiseStrategy(kind="random_measurable", eta_bound=0.3, hash_seed=5)
         t = np.array([1.0, 0.0, 0.0])
-        rates = noise_rates(s, xs, xs @ t)
-        assert np.array_equal(noise_rates(s, wide[:, ::2], wide[:, ::2] @ t), rates)
+        rates = noise_rates(s, xs.T, xs @ t)
+        assert np.array_equal(noise_rates(s, wide[:, ::2].T, wide[:, ::2] @ t), rates)
 
     def test_all_ones_hash_maps_below_one(self, monkeypatch):
         top = np.array([2**64 - 1, 2**64 - 2**11, 2**11 - 1, 0], dtype=np.uint64)
-        monkeypatch.setattr(noise, "_hash64", lambda xs, seed: top)
-        unit = noise._hash_unit_floats(np.zeros((4, 2)), 0)
+        monkeypatch.setattr(noise, "_hash64", lambda columns, n, seed: top)
+        unit = noise._hash_unit_floats(np.zeros((2, 4)), 4, 0)
         assert unit[0] == unit[1] == 1.0 - 2.0**-53
         assert unit[0] < 1.0
         assert unit[2] == unit[3] == 0.0
         for eta in (0.1, 0.3, 0.45, 0.5 - 2.0**-54):
             s = NoiseStrategy(kind="random_measurable", eta_bound=eta)
-            assert noise_rates(s, np.zeros((4, 2)), np.zeros(4))[0] < eta
+            assert noise_rates(s, np.zeros((2, 4)), np.zeros(4))[0] < eta
 
 
 def _strategy(kind):
@@ -263,7 +271,7 @@ class TestSharedMargins:
         for d, n in zip(got, (3000, 1000)):
             xs = oracle.marginal.sample(n, rng=x_rng)
             clean = sign_of(xs @ oracle.target)
-            flips = flip_rng.random(n) < noise_rates(s, xs, xs @ oracle.target)
+            flips = flip_rng.random(n) < noise_rates(s, xs.T, xs @ oracle.target)
             ys = np.where(flips, -clean, clean)
             assert d.xs.tobytes() == xs.tobytes()
             assert d.ys.tobytes() == ys.tobytes()

@@ -442,11 +442,13 @@ class TestEstimatorProperties:
 # Bit parity. The helpers the verify chunk calls compute without
 # scalar-operand np.where; the np.where forms below are what they replaced.
 # The reference chunk differs from verify's only in calling those forms and in
-# building its points with one C-order (_CHUNK, d) broadcast: no rate reads the
-# layout, as the margin kinds take the closed-form margin and the hash reads
-# bit patterns. On one machine both must give the same bits. numpy picks its
-# SIMD loops by CPU, so the comparison runs in one process, not against stored
-# bytes.
+# building all its points at once, as one C-order (_CHUNK, d) broadcast whose
+# transpose it passes, where verify builds each coordinate array only as the
+# hash reads it. No rate reads the layout: the margin kinds take the
+# closed-form margin, and each coordinate m * w_hat[j] + u * b1[j] has the
+# same association in both. On one machine both must give the same bits.
+# numpy picks its SIMD loops by CPU, so the comparison runs in one process,
+# not against stored bytes.
 
 
 def _where_sign_of(t):
@@ -509,9 +511,10 @@ def _where_noise_rates(strategy, xs, margins):
 
 def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
     """verify._estimate_angle over the np.where helper forms above, with its
-    points built by one C-order (_CHUNK, d) broadcast rather than row by row
-    into a (d, _CHUNK) buffer, and with its rates read off target_margin. It
-    reads the module's constants at call time, so a monkeypatch reaches both.
+    points built at once by one C-order (_CHUNK, d) broadcast rather than one
+    coordinate at a time as the hash reads them, and with its rates read off
+    target_margin and xs.T. It reads the module's constants at call time, so
+    a monkeypatch reaches both.
     No parity case raises, so it never reads the stop flag."""
     vm = verify_mod
     dim = config.marginal.dim
@@ -546,7 +549,7 @@ def _reference_estimate_angle(config, target, theta, plane, floor, rng, stop):
         target_margin = cos_t * m + sin_t * u
         s = _where_sign_of(target_margin)
         xs = m[:, None] * w_hat + u[:, None] * b1
-        rates = _where_noise_rates(config.noise, xs, target_margin)
+        rates = _where_noise_rates(config.noise, xs.T, target_margin)
         f = -(1.0 - 2.0 * rates) * s * _where_derivative(config.surrogate, m) * u
         contrib = f * weight
         in_good = (u * s) > 0.0
@@ -680,13 +683,9 @@ class TestChunkWork:
         assert calls == {"noise_rates": 1, "surrogate_derivative": 1,
                          "sample_marginal": 1, "conditional_inverse_cdf": 1}
 
-    @pytest.mark.parametrize("kind", ["constant", "random_measurable", "boundary_concentrated",
-                                      "strong_massart_max"])
-    def test_an_angle_holds_one_point_buffer(self, monkeypatch, kind):
-        # numpy reports its allocations to tracemalloc. The points are built row by
-        # row, the hash reads their transposed view in place, and the margin kinds
-        # read the closed-form margin, so no second point-sized array joins xs.
-        dim = 64
+    @staticmethod
+    def _two_chunks(monkeypatch, kind, dim):
+        """One angle of a ball check at dim under noise kind, as a call that runs two chunks."""
         monkeypatch.setattr(verify_mod, "_MIN_CHUNKS", 2)
         noise = NoiseStrategy(kind, eta_bound=0.3, c_strong=0.5, band=0.5, hash_seed=3)
         cfg = StructuralCheckConfig(
@@ -695,20 +694,49 @@ class TestChunkWork:
             angles=(0.7,), mc_samples=2,
         )
         plane = plane_density("uniform_ball_isotropic", dim)
+        # a floor of 1e6 puts the stderr target far above any two-chunk stderr
+        return lambda: verify_mod._estimate_angle(cfg, np.eye(dim)[0], 0.7, plane, 1e6,
+                                                  np.random.default_rng(0), threading.Event())
+
+    @pytest.mark.parametrize("kind", ["none", "constant", "boundary_concentrated", "strong_massart_max",
+                                      "random_measurable"])
+    def test_only_the_hash_builds_point_coordinates(self, monkeypatch, kind):
+        # the margin kinds read the closed-form margin, so a chunk builds no coordinate for them
+        dim = 16
+        built = []
+
+        def counting(strategy, columns, margins):
+            def each():
+                for col in columns:
+                    built.append(col.shape)
+                    yield col
+            return noise_rates(strategy, each(), margins)
+
+        monkeypatch.setattr(verify_mod, "noise_rates", counting)
+        assert self._two_chunks(monkeypatch, kind, dim)().samples == 2 * verify_mod._CHUNK
+        assert built == ([(verify_mod._CHUNK,)] * dim * 2 if kind == "random_measurable" else [])
+
+    @pytest.mark.parametrize("kind", ["constant", "random_measurable", "boundary_concentrated",
+                                      "strong_massart_max"])
+    def test_an_angle_holds_no_point_buffer(self, monkeypatch, kind):
+        # numpy reports its allocations to tracemalloc. The hash reads each
+        # coordinate array as it is built and the margin kinds read the
+        # closed-form margin, so a chunk holds a few (_CHUNK,) arrays and no
+        # (d, _CHUNK) buffer, half of which alone would pass the bound.
+        dim = 64
+        run = self._two_chunks(monkeypatch, kind, dim)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            # a floor of 1e6 puts the stderr target far above any two-chunk stderr
-            res = verify_mod._estimate_angle(cfg, np.eye(dim)[0], 0.7, plane, 1e6,
-                                             np.random.default_rng(0), threading.Event())
+            res = run()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert res.samples == 2 * verify_mod._CHUNK
-        assert peak < 1.5 * verify_mod._CHUNK * dim * 8
+        assert peak < 0.5 * verify_mod._CHUNK * dim * 8
 
 
 def _forms(x):
@@ -792,7 +820,7 @@ class TestHelperBits:
                    -math.nextafter(band, 1.0), 0.2, -3.0]
         xs = np.array([[m, 7.0] for m in margins])
         target = np.array([1.0, 0.0])
-        _assert_same_bits(noise_rates(noise, xs, xs @ target), _where_noise_rates(noise, xs, xs @ target))
+        _assert_same_bits(noise_rates(noise, xs.T, xs @ target), _where_noise_rates(noise, xs.T, xs @ target))
 
 
 # ---------------------------------------------------------------------------
@@ -943,9 +971,9 @@ class TestAngleThreads:
                                           np.random.default_rng(0), stop) is None
         assert calls == []
 
-    @pytest.mark.parametrize("dim, threads", [(2, 8), (10, 8), (100, 8), (500, 4), (1000, 2)])
-    def test_the_pool_holds_its_point_buffers_within_the_budget(self, monkeypatch, dim, threads):
-        # each angle holds one (d, _CHUNK) point buffer, xs (TestChunkWork)
+    @pytest.mark.parametrize("dim", [2, 100, 500, 1000])
+    def test_the_pool_has_one_thread_per_core_up_to_one_per_angle(self, monkeypatch, dim):
+        # no angle holds a point buffer (TestChunkWork), so the dimension sets no thread count
         import concurrent.futures
 
         pools = []
@@ -955,15 +983,14 @@ class TestAngleThreads:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        cfg = StructuralCheckConfig(
-            surrogate=SurrogateSpec("sigmoid", 1e-3), noise=NoiseStrategy("constant", eta_bound=0.3),
-            marginal=MarginalSampler("uniform_ball_isotropic", dim), profile=disk_profile(),
-            angles=tuple(0.4 + 0.1 * i for i in range(10)),
-        )
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
         monkeypatch.setattr(verify_mod, "_usable_cores", lambda: 8)
         monkeypatch.setattr(verify_mod, "_estimate_angle", lambda *args: None)
-        verify_stationary_gap(cfg, np.eye(dim)[0])
-        assert pools == [threads]
-        per_angle = verify_mod._CHUNK * dim * 8
-        assert threads * per_angle <= max(verify_mod._THREAD_BUFFER_BYTES, per_angle)
+        for angles in (10, 3):
+            cfg = StructuralCheckConfig(
+                surrogate=SurrogateSpec("sigmoid", 1e-3), noise=NoiseStrategy("constant", eta_bound=0.3),
+                marginal=MarginalSampler("uniform_ball_isotropic", dim), profile=disk_profile(),
+                angles=tuple(0.4 + 0.1 * i for i in range(angles)),
+            )
+            verify_stationary_gap(cfg, np.eye(dim)[0])
+        assert pools == [8, 3]
